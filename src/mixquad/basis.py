@@ -2,7 +2,10 @@
 
 Basis functions are stored as rows of a lower-triangular coefficient matrix
 over graded-lexicographic monomials. Orthonormalization uses exact moments of
-the measure only, never samples, so construction is fully deterministic.
+the measure only, never samples, so construction is fully deterministic: the
+coefficient matrix is the inverse Cholesky factor of the monomial moment Gram
+matrix. Evaluation forms all monomials by array products, one per (dimension,
+exponent) pair.
 """
 
 import json
@@ -10,6 +13,8 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "MultiIndex",
@@ -34,7 +39,7 @@ ORTHONORMALITY_TOL = 1e-8
 
 
 class DegenerateBasisError(ValueError):
-    """Gram-Schmidt hit a (near-)zero norm: the moment matrix is singular."""
+    """Orthonormalization hit a (near-)zero norm: the moment matrix is singular."""
 
     def __init__(self, index, norm2):
         self.index = index
@@ -123,37 +128,35 @@ class OrthoBasis:
     coeff_matrix: np.ndarray
     gram_residual: float
 
+    def __post_init__(self):
+        E = np.array([mi.exponents for mi in self.indices], dtype=int)
+        E.flags.writeable = False
+        object.__setattr__(self, "_exponents", E)
+
     @property
     def size(self):
         return len(self.indices)
 
     def exponent_matrix(self):
-        """Exponents as an (N, dim) integer array."""
-        return np.array([mi.exponents for mi in self.indices], dtype=int)
+        """Exponents as a read-only (N, dim) integer array."""
+        return self._exponents
 
 
-def _moment_gram(moments, idx):
+def _moment_gram(moments, E):
     """Gram matrix of monomials, G[a,b] = E[xi^(alpha_a + alpha_b)]."""
-    values = moments.values
-    N = len(idx)
-    G = np.empty((N, N))
-    for a in range(N):
-        ea = idx[a].exponents
-        for b in range(a, N):
-            g = values[tuple(x + y for x, y in zip(ea, idx[b].exponents))]
-            G[a, b] = g
-            G[b, a] = g
+    a, b = np.triu_indices(len(E))
+    G = np.empty((len(E), len(E)))
+    G[a, b] = G[b, a] = [moments.values[g] for g in map(tuple, (E[a] + E[b]).tolist())]
     return G
 
 
 def gram_schmidt(moments, d, q):
-    """Build the orthonormal basis of total order q by moment-based Gram-Schmidt.
+    """Build the orthonormal basis of total order q from exact moments.
 
-    Implements psi_hat_j = p_j - sum_{i<j} E[p_j Psi_i] Psi_i followed by
-    normalization, where every expectation reduces to lookups in the moment
-    table (the integrand is a polynomial in monomial form). Modified
-    Gram-Schmidt with one full re-orthogonalization pass is used because the
-    moment matrices of high-order monomials are badly conditioned.
+    The Gram matrix G[a,b] = E[p_a p_b] of the graded-lex monomials p is read
+    off the moment table and factored once, G = L L^T; then Psi = L^{-1} p
+    is the Gram-Schmidt orthonormalization of p, and the pivot L[j,j]^2 is
+    E[psi_hat_j^2], the squared norm of p_j minus its projection on p_0..p_{j-1}.
 
     Parameters
     ----------
@@ -169,7 +172,7 @@ def gram_schmidt(moments, d, q):
     Raises
     ------
     DegenerateBasisError
-        If some E[psi_hat_j^2] <= 1e-12, with the offending index j.
+        If some E[psi_hat_j^2] <= 1e-12, with the first offending index j.
     ValueError
         If the moment table is too short or the achieved orthonormality
         residual exceeds 1e-8.
@@ -181,19 +184,17 @@ def gram_schmidt(moments, d, q):
         )
     idx = enumerate_indices(d, q)
     N = len(idx)
-    G = _moment_gram(moments, idx)
-    C = np.zeros((N, N))
-    for j in range(N):
-        c = np.zeros(N)
-        c[j] = 1.0
-        # two MGS sweeps: the second pass mops up cancellation error
-        for _ in range(2):
-            for i in range(j):
-                c -= (c @ G @ C[i]) * C[i]
-        nrm2 = c @ G @ c
-        if nrm2 <= DEGENERACY_TOL:
-            raise DegenerateBasisError(j, nrm2)
-        C[j] = c / np.sqrt(nrm2)
+    G = _moment_gram(moments, np.array([mi.exponents for mi in idx]))
+    L, info = dpotrf(G, lower=1, clean=1)
+    norm2 = np.diag(L) ** 2
+    if info > 0:  # LAPACK stopped at a non-positive pivot and left it in place
+        norm2 = np.append(norm2[: info - 1], L[info - 1, info - 1])
+    bad = np.flatnonzero(~(norm2 > DEGENERACY_TOL))
+    if bad.size:
+        raise DegenerateBasisError(int(bad[0]), float(norm2[bad[0]]))
+    # C order: a Fortran-ordered copy would evaluate differently in the last
+    # bits from the C-ordered matrix that basis_from_json reads back
+    C = np.ascontiguousarray(solve_triangular(L, np.eye(N), lower=True))
     gram_residual = float(np.abs(C @ G @ C.T - np.eye(N)).max())
     if gram_residual > ORTHONORMALITY_TOL:
         raise ValueError(
@@ -211,13 +212,26 @@ def gram_schmidt(moments, d, q):
 
 def _power_table(basis, X):
     """P[i, e, :] = X[:, i] ** e for e = 0..order."""
-    n, d = X.shape
-    q = basis.order
-    P = np.ones((d, q + 1, n))
-    for i in range(d):
-        for e in range(1, q + 1):
-            P[i, e] = P[i, e - 1] * X[:, i]
+    P = np.ones((X.shape[1], basis.order + 1, X.shape[0]))
+    for e in range(1, basis.order + 1):
+        P[:, e] = P[:, e - 1] * X.T
     return P
+
+
+def _multiply_monomials(out, E, P):
+    """out[a] *= prod_i P[i, E[a, i]], one masked product per (dimension,
+    exponent) pair; each row takes its factors in dimension order."""
+    for i in range(E.shape[1]):
+        for e in range(1, P.shape[1]):
+            out[E[:, i] == e] *= P[i, e]
+    return out
+
+
+def _points(basis, xs):
+    X = np.atleast_2d(np.asarray(xs, dtype=float))
+    if X.shape[1] != basis.dim:
+        raise ValueError(f"points have dimension {X.shape[1]}, basis expects {basis.dim}")
+    return X
 
 
 def eval_basis_batch(basis, xs):
@@ -231,19 +245,9 @@ def eval_basis_batch(basis, xs):
     -------
     ndarray, shape (n, N) with entry (s, j) = Psi_j(xs[s]).
     """
-    X = np.atleast_2d(np.asarray(xs, dtype=float))
-    n, d = X.shape
-    if d != basis.dim:
-        raise ValueError(f"points have dimension {d}, basis expects {basis.dim}")
-    P = _power_table(basis, X)
-    N = basis.size
-    mono = np.ones((N, n))
-    for a, mi in enumerate(basis.indices):
-        v = np.ones(n)
-        for i, e in enumerate(mi.exponents):
-            if e:
-                v = v * P[i, e]
-        mono[a] = v
+    X = _points(basis, xs)
+    mono = np.ones((basis.size, X.shape[0]))
+    _multiply_monomials(mono, basis.exponent_matrix(), _power_table(basis, X))
     return (basis.coeff_matrix @ mono).T
 
 
@@ -259,24 +263,15 @@ def eval_basis_jacobian_batch(basis, xs):
     -------
     ndarray, shape (N, dim, n) with entry (j, i, s) = dPsi_j/dxi_i at xs[s].
     """
-    X = np.atleast_2d(np.asarray(xs, dtype=float))
+    X = _points(basis, xs)
     n, d = X.shape
-    if d != basis.dim:
-        raise ValueError(f"points have dimension {d}, basis expects {basis.dim}")
     P = _power_table(basis, X)
-    N = basis.size
-    dmono = np.zeros((N, d, n))
-    for a, mi in enumerate(basis.indices):
-        g = mi.exponents
-        for i in range(d):
-            if g[i]:
-                # d xi^g / d xi_i = g_i * xi^(g - e_i)
-                v = np.full(n, float(g[i]))
-                for j in range(d):
-                    e = g[j] - (1 if j == i else 0)
-                    if e:
-                        v = v * P[j, e]
-                dmono[a, i] = v
+    E = basis.exponent_matrix()
+    dmono = np.empty((basis.size, d, n))
+    for i in range(d):
+        # d xi^g / d xi_i = g_i * xi^(g - e_i); rows with g_i = 0 stay 0
+        D = np.where(E[:, i:i + 1] > 0, E - np.eye(d, dtype=int)[i], 0)
+        dmono[:, i] = _multiply_monomials(np.outer(E[:, i], np.ones(n)), D, P)
     return np.einsum("ab,bin->ain", basis.coeff_matrix, dmono)
 
 

@@ -65,11 +65,12 @@ class GaussianMixture:
             )
         means = [np.asarray(m, dtype=float) for m in means]
         covs = [np.asarray(S, dtype=float) for S in covariances]
-        d = means[0].shape[0] if means[0].ndim == 1 else -1
+        d = means[0].shape[0] if means[0].ndim == 1 else None
         chols = []
         for k, (m, S) in enumerate(zip(means, covs)):
             if m.ndim != 1 or m.shape[0] != d:
-                raise ValueError(f"component {k}: mean must be a vector of dimension {d}")
+                want = "a vector" if d is None else f"a vector of dimension {d}"
+                raise ValueError(f"component {k}: mean must be {want}, got shape {m.shape}")
             if S.shape != (d, d):
                 raise ValueError(f"component {k}: covariance must be {d}x{d}, got {S.shape}")
             asym = np.abs(S - S.T).max() if S.size else 0.0

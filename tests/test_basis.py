@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mixquad as mq
+from mixquad import benchmarks
 
 
 def gauss1d():
@@ -137,13 +138,16 @@ class TestGramSchmidt:
             )
 
     def test_degenerate_support_reported_with_index(self):
-        # two-point measure at +-1: {1, xi} span everything, xi^2 - 1 vanishes
-        values = {(0,): 1.0, (1,): 0.0, (2,): 1.0, (3,): 0.0, (4,): 1.0}
-        table = mq.MomentTable(max_order=4, values=values)
-        with pytest.raises(mq.DegenerateBasisError) as info:
-            mq.gram_schmidt(table, 1, 2)
-        assert info.value.index == 2
-        assert info.value.norm2 <= 1e-12
+        # E[xi^4] = 1 is the two-point measure at +-1: {1, xi} span everything
+        # and xi^2 - 1 vanishes (zero pivot); 0.5 is no measure (negative
+        # pivot); 1 + 1e-13 leaves a positive pivot below the tolerance
+        for m4 in (1.0, 0.5, 1.0 + 1e-13):
+            values = {(0,): 1.0, (1,): 0.0, (2,): 1.0, (3,): 0.0, (4,): m4}
+            table = mq.MomentTable(max_order=4, values=values)
+            with pytest.raises(mq.DegenerateBasisError) as info:
+                mq.gram_schmidt(table, 1, 2)
+            assert info.value.index == 2, m4
+            assert info.value.norm2 <= 1e-12, m4
 
     def test_insufficient_moment_order_rejected(self):
         mom = mq.raw_moments(gauss1d(), 4)
@@ -179,15 +183,19 @@ class TestEvalBasis:
         assert_allclose(mq.eval_basis(basis, [1.0]), [1.0, 1.0, 0.0], atol=1e-14)
 
     def test_matches_direct_monomial_expansion(self):
-        gm = corr2d()
-        basis = mq.gram_schmidt(mq.raw_moments(gm, 6), 2, 3)
-        E = basis.exponent_matrix()
         rng = np.random.default_rng(3)
-        X = rng.normal(size=(100, 2))
-        mono = np.ones((100, basis.size))
-        for i in range(basis.size):
-            mono[:, i] = X[:, 0] ** E[i, 0] * X[:, 1] ** E[i, 1]
-        assert_allclose(mq.eval_basis_batch(basis, X), mono @ basis.coeff_matrix.T, rtol=1e-12, atol=1e-12)
+        for gm, q in [(corr2d(), 3), (benchmarks.gm4(), 4)]:
+            basis = mq.gram_schmidt(mq.raw_moments(gm, 2 * q), gm.dim, q)
+            C, E, d = basis.coeff_matrix, basis.exponent_matrix(), gm.dim
+            X = rng.normal(size=(100, d))
+            mono = np.prod(X[:, None, :] ** E, axis=2)  # (n, N)
+            assert_allclose(mq.eval_basis_batch(basis, X), mono @ C.T, rtol=1e-12, atol=1e-12)
+            J = mq.eval_basis_jacobian_batch(basis, X)
+            for i in range(d):
+                # d/dxi_i xi^alpha = alpha_i * xi^(alpha - e_i)
+                lowered = np.maximum(E - np.eye(d, dtype=int)[i], 0)
+                dmono = E[:, i] * np.prod(X[:, None, :] ** lowered, axis=2)
+                assert_allclose(J[:, i, :], C @ dmono.T, rtol=1e-12, atol=1e-12)
 
     def test_batch_matches_scalar(self):
         # agreement to rounding; the two shapes may hit different BLAS kernels

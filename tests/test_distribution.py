@@ -63,6 +63,10 @@ class TestGaussianMixtureValidation:
                 [np.eye(2), np.eye(3)],
             )
 
+    def test_non_vector_first_mean_names_its_shape(self):
+        with pytest.raises(ValueError, match=r"component 0: mean must be a vector, got shape \(1, 2\)"):
+            mq.GaussianMixture([1.0], [[[0.0, 0.0]]], [np.eye(2)])
+
     def test_component_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="weights"):
             mq.GaussianMixture([1.0], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
