@@ -9,6 +9,7 @@ seed, and rewrites byte-identical artifacts on rerun.
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -36,8 +37,6 @@ from .quadrature import (
     rule_from_json,
     rule_to_json,
 )
-
-import json
 
 
 def _load_mixture(spec):

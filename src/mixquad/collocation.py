@@ -270,6 +270,15 @@ def _eval_builtin(name, nodes):
     return np.asarray(fn(nodes), dtype=float).reshape(-1)
 
 
+def _first_missing(vals, nodes):
+    """Error suffix naming the first node without a value, if any is short."""
+    k = vals.size
+    if k >= len(nodes):
+        return ""
+    coords = ", ".join(repr(float(v)) for v in nodes[k])
+    return f"; first node without a value: node {k} at ({coords})"
+
+
 def _eval_batch_file(spec, nodes):
     if spec.get("nodes"):
         with open(spec["nodes"], "w") as fh:
@@ -284,6 +293,7 @@ def _eval_batch_file(spec, nodes):
     if vals.size != len(nodes):
         raise AdapterError(
             f"{path}: got {vals.size} values for {len(nodes)} nodes (positional alignment)"
+            + _first_missing(vals, nodes)
         )
     return vals
 
@@ -309,6 +319,7 @@ def _eval_subprocess(spec, nodes):
     if vals.size != len(nodes):
         raise AdapterError(
             f"{cmd!r} produced {vals.size} values for {len(nodes)} nodes"
+            + _first_missing(vals, nodes)
         )
     return vals
 
@@ -330,8 +341,9 @@ def evaluate_model(adapter, nodes):
     Raises
     ------
     AdapterError
-        Missing file, line-count mismatch, unparsable value, or nonzero
-        subprocess exit, with context in the message.
+        Missing file, line-count mismatch (naming the first node without a
+        value), unparsable value, or nonzero subprocess exit, with context in
+        the message.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     if adapter.kind == "builtin":

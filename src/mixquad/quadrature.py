@@ -16,11 +16,12 @@ its N_{q+1} equations.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import ceil, comb
 
 import numpy as np
 from scipy.cluster.hierarchy import cut_tree, linkage
+from scipy.optimize import nnls
 
 from .basis import eval_basis_batch, eval_basis_jacobian_batch, gram_schmidt
 from .distribution import raw_moments, sample
@@ -46,6 +47,14 @@ __all__ = [
 # consecutive failed Gauss-Newton moves before an early non-converged exit;
 # by then lambda has grown by 10^10 and the step is numerically dead
 STALL_LIMIT = 10
+# factor by which the increase phase grows the node count
+INCREASE_FACTOR = 1.5
+# Gauss-Newton damping lambda after a successful move
+GN_DAMPING = 1e-6
+# step shrink per Gauss-Newton backtrack
+LINE_SEARCH_SHRINK = 0.5
+# nodes at most this far apart (Euclidean) count as one in the decrease phase
+COINCIDENT_TOL = 1e-6
 
 
 class IncreasePhaseError(RuntimeError):
@@ -75,16 +84,11 @@ class SolverConfig:
     max_outer_iters: int = 200
     candidate_count: int = None
     seed: int = 0
-    increase_factor: float = 1.5
-    gn_damping: float = 1e-6
-    line_search_shrink: float = 0.5
     max_gn_backtracks: int = 20
 
     def __post_init__(self):
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be > 0")
-        if self.increase_factor <= 1:
-            raise ValueError("increase_factor must be > 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,79 +147,25 @@ def _unit_rhs(N):
     return e1
 
 
-def solve_weights(phi, max_iter=None):
-    """Nonnegative least squares min_{w >= 0} ||phi w - e1||^2, active-set style.
+def solve_weights(phi):
+    """Nonnegative least squares min_{w >= 0} ||phi w - e1||^2.
 
-    Lawson-Hanson: grow a passive set by the most positive dual coordinate,
-    solve the unconstrained problem on it, and step back to the feasible
-    boundary whenever the passive solution leaves the positive orthant. The
-    returned point satisfies the KKT conditions of the convex problem: for
-    active coordinates (w_i = 0) the gradient of ||phi w - e1||^2 is
-    >= -1e-10, for inactive ones its magnitude is <= 1e-10 * ||phi^T e1||_inf.
-
-    Parameters
-    ----------
-    phi : ndarray, shape (N, M)
-    max_iter : int, optional
-        Inner-solve budget; default 3 * M.
+    scipy.optimize.nnls (Lawson-Hanson active set). The returned point
+    satisfies the KKT conditions of the convex problem: for active
+    coordinates (w_i = 0) the gradient of ||phi w - e1||^2 is >= -1e-10, for
+    inactive ones its magnitude is <= 1e-10 * ||phi^T e1||_inf.
 
     Returns
     -------
     (w, converged) : ndarray of shape (M,), bool
-        On budget exhaustion, the best (most recent feasible) iterate with
-        converged = False.
+        converged is False only when the solver hits its iteration limit
+        (3 * M); w is then all zeros.
     """
     phi = np.asarray(phi, dtype=float)
-    N, M = phi.shape
-    b = _unit_rhs(N)
-    if max_iter is None:
-        max_iter = 3 * M
-    w = np.zeros(M)
-    passive = np.zeros(M, dtype=bool)
-    dual_scale = max(1.0, float(np.abs(phi.T @ b).max()))
-    # dual tolerance sized so the KKT gradient bounds hold with slack two
-    tol = 1e-11 * dual_scale
-    it = 0
-    while True:
-        dual = phi.T @ (b - phi @ w)
-        free = np.where(~passive)[0]
-        if free.size == 0:
-            break
-        j = free[np.argmax(dual[free])]
-        if dual[j] <= tol:
-            break
-        if it >= max_iter:
-            return w, False
-        passive[j] = True
-        while True:
-            it += 1
-            cols = np.where(passive)[0]
-            z = np.linalg.lstsq(phi[:, cols], b, rcond=None)[0]
-            if np.all(z > 0):
-                w = np.zeros(M)
-                w[cols] = z
-                break
-            # step from w toward z until the first coordinate hits zero
-            wp = w[cols]
-            bad = z <= 0
-            denom = wp[bad] - z[bad]
-            ratios = np.where(denom > 0, wp[bad] / np.where(denom > 0, denom, 1.0), 0.0)
-            alpha = float(np.min(ratios))
-            wp = wp + alpha * (z - wp)
-            w = np.zeros(M)
-            w[cols] = np.maximum(wp, 0.0)
-            passive[:] = w > 0
-            if it >= max_iter:
-                return w, False
-    # one refinement solve tightens the inactive-gradient residual; keep it
-    # only if it stays strictly feasible
-    cols = np.where(passive)[0]
-    if cols.size:
-        z = np.linalg.lstsq(phi[:, cols], b, rcond=None)[0]
-        if np.all(z > 0):
-            w = np.zeros(M)
-            w[cols] = z
-    return w, True
+    try:
+        return nnls(phi, _unit_rhs(phi.shape[0]))[0], True
+    except RuntimeError:
+        return np.zeros(phi.shape[1]), False
 
 
 def stacked_jacobian(basis, nodes, w):
@@ -237,7 +187,7 @@ def gauss_newton_step(basis, nodes, w, r, lam, cfg):
     Jacobian, and is halved up to cfg.max_gn_backtracks times until the new
     residual does not exceed ||r||. A failed line search leaves the nodes
     unchanged and raises the damping tenfold; success resets it to
-    cfg.gn_damping.
+    GN_DAMPING.
 
     Returns
     -------
@@ -255,8 +205,8 @@ def gauss_newton_step(basis, nodes, w, r, lam, cfg):
         cand = nodes + s * step
         r2, nrm2 = residual(assemble_phi(basis, cand), w)
         if nrm2 <= nrm:
-            return cand, cfg.gn_damping, True
-        s *= cfg.line_search_shrink
+            return cand, GN_DAMPING, True
+        s *= LINE_SEARCH_SHRINK
     return nodes, lam * 10.0, False
 
 
@@ -273,7 +223,7 @@ def bcd_solve(basis, init_nodes, cfg):
     QuadratureRule with converged set accordingly.
     """
     nodes = np.atleast_2d(np.asarray(init_nodes, dtype=float))
-    lam = cfg.gn_damping
+    lam = GN_DAMPING
     hist = []
     stall = 0
     converged = False
@@ -337,18 +287,22 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
 
     Step 1 starts from M0 = ceil(N_2p / (d + 1)) clustered nodes, balancing
     unknown count M (d + 1) against the N_2p exactness equations. Step 2
-    multiplies M by cfg.increase_factor (fresh clustering of the same seeded
+    multiplies M by INCREASE_FACTOR (fresh clustering of the same seeded
     candidate cloud at the new M) until bcd_solve converges, aborting past
-    10 * N_2p nodes. Step 3 repeatedly deletes the minimum-weight node (ties:
-    lowest index) and re-solves warm-started from the remaining nodes,
-    accepting while the tolerance holds. Step 4, the maximal-exactness
-    polish, runs one more bcd_solve from the accepted nodes on the basis one
-    order higher (order 2p + 1, built from the mixture's exact moments). Its
-    result replaces the accepted rule only if it converges and still meets
-    cfg.residual_tol on the caller's basis; otherwise the accepted rule is
-    returned unchanged. The polish never changes M, and it is attempted only
-    when M (d + 1) >= N_{2p+1}: with fewer unknowns than equations an exact
-    rule does not exist in general. For d = 1 it selects the Gauss rule.
+    10 * N_2p nodes. Step 3 repeatedly deletes one node and re-solves
+    warm-started from the remaining nodes, accepting while the tolerance
+    holds. The deleted node is the lighter one of the closest pair when two
+    nodes coincide (Euclidean distance <= COINCIDENT_TOL), since the solve
+    can split one node's weight over two near-duplicates; otherwise it is
+    the minimum-weight node (ties: lowest index). Step 4, the
+    maximal-exactness polish, runs one more bcd_solve from the accepted
+    nodes on the basis one order higher (order 2p + 1, built from the
+    mixture's exact moments). Its result replaces the accepted rule only if
+    it converges and still meets cfg.residual_tol on the caller's basis;
+    otherwise the accepted rule is returned unchanged. The polish never
+    changes M, and it is attempted only when M (d + 1) >= N_{2p+1}: with
+    fewer unknowns than equations an exact rule does not exist in general.
+    For d = 1 it selects the Gauss rule.
 
     on_accept, when given, is called with every accepted (converged) rule in
     order, which exposes the decrease-phase trajectory for verification. It
@@ -373,13 +327,13 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
         rule = bcd_solve(basis, start, cfg)
         if rule.converged:
             break
-        M = ceil(cfg.increase_factor * M)
+        M = ceil(INCREASE_FACTOR * M)
         if M > cap:
             raise IncreasePhaseError(M, cap, rule.residual_norm)
     if on_accept is not None:
         on_accept(rule)
     while rule.n_nodes > 1:
-        k = int(np.argmin(rule.weights))
+        k = _deletion_index(rule)
         trial_nodes = np.delete(rule.nodes, k, axis=0)
         trial = bcd_solve(basis, trial_nodes, cfg)
         if not trial.converged:
@@ -388,6 +342,17 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
         if on_accept is not None:
             on_accept(rule)
     return _polish(basis, gm, rule, cfg)
+
+
+def _deletion_index(rule):
+    """Node the decrease phase deletes next; see adaptive_rule, step 3."""
+    X = rule.nodes
+    dist = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
+    if dist[i, j] <= COINCIDENT_TOL:
+        return int(i if rule.weights[i] <= rule.weights[j] else j)
+    return int(np.argmin(rule.weights))
 
 
 def _polish(basis, gm, rule, cfg):

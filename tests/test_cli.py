@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mixquad as mq
+from mixquad.cli import main
 
 
 def run_cli(*args):
@@ -129,13 +130,15 @@ class TestQuadratureCommand:
         nodes = mq.nodes_from_csv((tmp_path / "nodes.csv").read_text())
         assert np.array_equal(nodes, rule.nodes)
 
-    def test_unreachable_tolerance_exits_nonzero(self, cfg1, tmp_path):
-        res = run_cli(
-            "quadrature", "--config", cfg1, "--out", tmp_path, "--order", 1,
-            "--tol", "1e-300",
-        )
-        assert res.returncode == 1
-        assert "error:" in res.stderr and "increase phase" in res.stderr
+    def test_unreachable_tolerance_exits_nonzero(self, cfg1, tmp_path, monkeypatch, capsys):
+        def unreachable(basis, gm, cfg):
+            raise mq.IncreasePhaseError(M=70, cap=60, last_residual=1e-17)
+
+        monkeypatch.setattr("mixquad.cli.adaptive_rule", unreachable)
+        code = main(["quadrature", "--config", str(cfg1), "--out", str(tmp_path), "--order", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "increase phase" in err
 
     def test_rerun_is_byte_identical(self, cfg2, tmp_path):
         blobs = []

@@ -286,8 +286,14 @@ class TestEvaluateModel:
         p = tmp_path / "values.csv"
         p.write_text("1.0\n2.0\n")
         adapter = mq.ModelAdapter.batch_file(p)
-        with pytest.raises(mq.AdapterError, match="2 values for 3 nodes"):
-            mq.evaluate_model(adapter, np.zeros((3, 2)))
+        nodes = np.zeros((3, 2))
+        nodes[2] = [1 / 3, -1.25]
+        # the first node without a value is named in round-trip decimals
+        with pytest.raises(
+            mq.AdapterError,
+            match=r"2 values for 3 nodes.*node 2 at \(0\.3333333333333333, -1\.25\)",
+        ):
+            mq.evaluate_model(adapter, nodes)
 
     def test_batch_file_bad_number_reported(self, tmp_path):
         p = tmp_path / "values.csv"
@@ -322,8 +328,12 @@ class TestEvaluateModel:
 
     def test_subprocess_count_mismatch_reported(self):
         cmd = sys.executable + ' -c "print(1.0)"'
-        with pytest.raises(mq.AdapterError, match="1 values for 2 nodes"):
-            mq.evaluate_model(mq.ModelAdapter.command(cmd), np.zeros((2, 2)))
+        nodes = np.array([[0.0, 0.0], [1 / 3, -1.25], [2.0, 2.0]])
+        with pytest.raises(
+            mq.AdapterError,
+            match=r"1 values for 3 nodes.*node 1 at \(0\.3333333333333333, -1\.25\)",
+        ):
+            mq.evaluate_model(mq.ModelAdapter.command(cmd), nodes)
 
 
 class TestSurrogateJson:

@@ -1,12 +1,15 @@
 """Weight solve, node moves, block coordinate descent, and node-count adaptation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import nnls
 
 import mixquad as mq
-from mixquad.quadrature import STALL_LIMIT
+from mixquad.benchmarks import gm4
+from mixquad.quadrature import GN_DAMPING, STALL_LIMIT
 
 
 def gauss1d():
@@ -110,11 +113,20 @@ class TestSolveWeights:
 
     def test_kkt_conditions_hold(self):
         rng = np.random.default_rng(9)
-        e1 = np.zeros(10)
-        e1[0] = 1.0
+        phis = []
         for _ in range(30):
             phi = rng.normal(size=(10, 16))
             phi[0] = 1.0
+            phis.append(phi)
+        # exactness matrices of the solver: the gm4 order-4 basis at
+        # clustered starts below, near and above N = 70 nodes
+        gm = gm4()
+        basis = basis_for(gm, 4)
+        for M in (15, 70, 140):
+            phis.append(mq.assemble_phi(basis, mq.init_nodes(gm, M, mq.SolverConfig(seed=0))))
+        for phi in phis:
+            e1 = np.zeros(phi.shape[0])
+            e1[0] = 1.0
             w, ok = mq.solve_weights(phi)
             assert ok
             grad = 2.0 * phi.T @ (phi @ w - e1)
@@ -123,11 +135,15 @@ class TestSolveWeights:
             assert np.all(grad[active] >= -1e-10)
             assert np.all(np.abs(grad[~active]) <= 1e-10 * scale)
 
-    def test_budget_exhaustion_reports_nonconvergence(self):
+    def test_budget_exhaustion_reports_nonconvergence(self, monkeypatch):
+        def exhausted(A, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr("mixquad.quadrature.nnls", exhausted)
         rng = np.random.default_rng(10)
         phi = rng.normal(size=(8, 12))
         phi[0] = 1.0
-        w, ok = mq.solve_weights(phi, max_iter=0)
+        w, ok = mq.solve_weights(phi)
         assert not ok
         assert np.all(w == 0.0)
 
@@ -140,7 +156,7 @@ class TestGaussNewtonStep:
         r = np.zeros(3)
         out, lam, improved = mq.gauss_newton_step(hermite2, nodes, w, r, 1e-3, cfg)
         assert improved
-        assert lam == cfg.gn_damping
+        assert lam == GN_DAMPING
         assert np.array_equal(out, nodes)
 
     def test_zero_weight_node_is_pinned(self, hermite2):
@@ -149,14 +165,14 @@ class TestGaussNewtonStep:
         w = np.array([0.55, 0.45, 0.0])
         phi = mq.assemble_phi(hermite2, nodes)
         r, _ = mq.residual(phi, w)
-        out, _, _ = mq.gauss_newton_step(hermite2, nodes, w, r, cfg.gn_damping, cfg)
+        out, _, _ = mq.gauss_newton_step(hermite2, nodes, w, r, GN_DAMPING, cfg)
         assert abs(out[2, 0] - 3.0) <= 1e-12
 
     def test_iteration_drives_residual_to_stationary_point(self, hermite2):
         # alternating with exact weight solves from (-0.9, 1.1)
         cfg = mq.SolverConfig()
         nodes = np.array([[-0.9], [1.1]])
-        lam = cfg.gn_damping
+        lam = GN_DAMPING
         for _ in range(60):
             phi = mq.assemble_phi(hermite2, nodes)
             w, _ = mq.solve_weights(phi)
@@ -346,10 +362,17 @@ class TestAdaptiveRule:
         assert rule is accepted[-1]
         assert rule.converged and rule.n_nodes == 2
 
-    def test_increase_phase_abort_is_reported(self):
+    def test_increase_phase_abort_is_reported(self, monkeypatch):
+        # every solve fails, so the increase phase must run past the cap
+        solve = mq.bcd_solve
+
+        def never_converges(basis, nodes, cfg):
+            return replace(solve(basis, nodes, cfg), converged=False)
+
+        monkeypatch.setattr("mixquad.quadrature.bcd_solve", never_converges)
         gm = gauss1d()
         basis = basis_for(gm, 2)
-        cfg = mq.SolverConfig(residual_tol=1e-300, max_outer_iters=30, seed=0)
+        cfg = mq.SolverConfig(max_outer_iters=30, seed=0)
         with pytest.raises(mq.IncreasePhaseError) as info:
             mq.adaptive_rule(basis, gm, cfg)
         assert info.value.M > info.value.cap
