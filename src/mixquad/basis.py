@@ -5,7 +5,8 @@ over graded-lexicographic monomials. Orthonormalization uses exact moments of
 the measure only, never samples, so construction is fully deterministic: the
 coefficient matrix is the inverse Cholesky factor of the monomial moment Gram
 matrix. Evaluation forms all monomials by array products, one per (dimension,
-exponent) pair.
+exponent) pair; derivatives gather each monomial's parent alpha - e_i from a
+table built with the basis, so all Jacobians come from one matrix product.
 """
 
 import json
@@ -132,6 +133,15 @@ class OrthoBasis:
         E = np.array([mi.exponents for mi in self.indices], dtype=int)
         E.flags.writeable = False
         object.__setattr__(self, "_exponents", E)
+        # parent[a, i] indexes alpha_a - e_i; rows with alpha_a,i = 0 point
+        # at a itself, which the derivative multiplies by alpha_a,i = 0
+        unit = np.eye(self.dim, dtype=int)
+        parent = np.stack(
+            [_graded_lex_rank(_tails(np.maximum(E - unit[i], 0))) for i in range(self.dim)],
+            axis=1,
+        )
+        parent.flags.writeable = False
+        object.__setattr__(self, "_parents", parent)
 
     @property
     def size(self):
@@ -142,12 +152,34 @@ class OrthoBasis:
         return self._exponents
 
 
+def _tails(E):
+    """T[j] = alpha_j + ... + alpha_{d-1} for each exponent row alpha of E; shape (d, n)."""
+    return np.cumsum(E[:, ::-1], axis=1)[:, ::-1].T
+
+
+def _graded_lex_rank(T):
+    """Positions in enumerate_indices order of exponent vectors given by their tails.
+
+    rank(alpha) = sum_j binom(T[j] + d - j - 1, d - j): the j = 0 term counts
+    the indices of lower total order, term j >= 1 those of the same order
+    that agree with alpha before coordinate j - 1 and exceed it there. The
+    rank does not depend on the maximum order of the enumeration.
+    """
+    d = len(T)
+    top = int(np.max(T[0])) + d
+    binom = np.array([[comb(n, k) for k in range(d + 1)] for n in range(top)])
+    return sum(binom[t + d - j - 1, d - j] for j, t in enumerate(T))
+
+
 def _moment_gram(moments, E):
     """Gram matrix of monomials, G[a,b] = E[xi^(alpha_a + alpha_b)]."""
-    a, b = np.triu_indices(len(E))
-    G = np.empty((len(E), len(E)))
-    G[a, b] = G[b, a] = [moments.values[g] for g in map(tuple, (E[a] + E[b]).tolist())]
-    return G
+    d = E.shape[1]
+    flat = np.array(
+        [moments.values[mi.exponents] for mi in enumerate_indices(d, 2 * int(E.sum(1).max()))]
+    )
+    # the tails of alpha_a + alpha_b are the sums of their tails
+    T = _tails(E)
+    return flat[_graded_lex_rank(T[:, :, None] + T[:, None, :])]
 
 
 def gram_schmidt(moments, d, q):
@@ -234,6 +266,12 @@ def _points(basis, xs):
     return X
 
 
+def _monomials(basis, X):
+    """mono[a, s] = X[s] ** alpha_a, shape (N, n)."""
+    mono = np.ones((basis.size, X.shape[0]))
+    return _multiply_monomials(mono, basis.exponent_matrix(), _power_table(basis, X))
+
+
 def eval_basis_batch(basis, xs):
     """Evaluate all basis functions at many points.
 
@@ -245,10 +283,7 @@ def eval_basis_batch(basis, xs):
     -------
     ndarray, shape (n, N) with entry (s, j) = Psi_j(xs[s]).
     """
-    X = _points(basis, xs)
-    mono = np.ones((basis.size, X.shape[0]))
-    _multiply_monomials(mono, basis.exponent_matrix(), _power_table(basis, X))
-    return (basis.coeff_matrix @ mono).T
+    return (basis.coeff_matrix @ _monomials(basis, _points(basis, xs))).T
 
 
 def eval_basis(basis, x):
@@ -265,14 +300,10 @@ def eval_basis_jacobian_batch(basis, xs):
     """
     X = _points(basis, xs)
     n, d = X.shape
-    P = _power_table(basis, X)
-    E = basis.exponent_matrix()
-    dmono = np.empty((basis.size, d, n))
-    for i in range(d):
-        # d xi^g / d xi_i = g_i * xi^(g - e_i); rows with g_i = 0 stay 0
-        D = np.where(E[:, i:i + 1] > 0, E - np.eye(d, dtype=int)[i], 0)
-        dmono[:, i] = _multiply_monomials(np.outer(E[:, i], np.ones(n)), D, P)
-    return np.einsum("ab,bin->ain", basis.coeff_matrix, dmono)
+    N = basis.size
+    # d xi^alpha / d xi_i = alpha_i * xi^(alpha - e_i)
+    dmono = basis.exponent_matrix()[:, :, None] * _monomials(basis, X)[basis._parents]
+    return (basis.coeff_matrix @ dmono.reshape(N, d * n)).reshape(N, d, n)
 
 
 def eval_basis_jacobian(basis, x):

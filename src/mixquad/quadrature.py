@@ -21,6 +21,7 @@ from math import ceil, comb
 
 import numpy as np
 from scipy.cluster.hierarchy import cut_tree, linkage
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import nnls
 
 from .basis import eval_basis_batch, eval_basis_jacobian_batch, gram_schmidt
@@ -180,30 +181,47 @@ def stacked_jacobian(basis, nodes, w):
     return (jall * w[None, None, :]).transpose(0, 2, 1).reshape(basis.size, M * d)
 
 
+def _damped_step(J, r, lam):
+    """argmin_d ||J d + r||^2 + lam ||d||^2 by Cholesky of the smaller normal matrix.
+
+    With J of shape (N, n): for n <= N solve (J^T J + lam I) d = -J^T r,
+    otherwise (J J^T + lam I) y = r and d = -J^T y. Raises LinAlgError when
+    the damped matrix is not numerically positive definite.
+    """
+    N, n = J.shape
+    if n <= N:
+        A, rhs = J.T @ J, J.T @ r
+    else:
+        A, rhs = J @ J.T, r
+    A[np.diag_indices_from(A)] += lam
+    y = cho_solve(cho_factor(A, check_finite=False), rhs, check_finite=False)
+    return -y if n <= N else -(J.T @ y)
+
+
 def gauss_newton_step(basis, nodes, w, r, lam, cfg):
     """One damped Gauss-Newton move of all nodes at fixed weights.
 
     The step solves min ||J d + r||^2 + lam ||d||^2 with J the stacked
-    Jacobian, and is halved up to cfg.max_gn_backtracks times until the new
-    residual does not exceed ||r||. A failed line search leaves the nodes
-    unchanged and raises the damping tenfold; success resets it to
-    GN_DAMPING.
+    Jacobian, by a Cholesky factorization of J^T J + lam I or J J^T + lam I,
+    whichever is smaller, and is halved up to cfg.max_gn_backtracks times
+    until the new residual does not exceed ||r||. A failed factorization or
+    line search leaves the nodes unchanged and raises the damping tenfold;
+    success resets it to GN_DAMPING.
 
     Returns
     -------
     (nodes, lam, improved)
     """
     nodes = np.asarray(nodes, dtype=float)
-    M, d = nodes.shape
     nrm = float(np.linalg.norm(r))
-    J = stacked_jacobian(basis, nodes, w)
-    A = np.vstack([J, np.sqrt(lam) * np.eye(M * d)])
-    rhs = np.concatenate([-r, np.zeros(M * d)])
-    step = np.linalg.lstsq(A, rhs, rcond=None)[0].reshape(M, d)
+    try:
+        step = _damped_step(stacked_jacobian(basis, nodes, w), r, lam).reshape(nodes.shape)
+    except LinAlgError:
+        return nodes, lam * 10.0, False
     s = 1.0
     for _ in range(cfg.max_gn_backtracks):
         cand = nodes + s * step
-        r2, nrm2 = residual(assemble_phi(basis, cand), w)
+        _, nrm2 = residual(assemble_phi(basis, cand), w)
         if nrm2 <= nrm:
             return cand, GN_DAMPING, True
         s *= LINE_SEARCH_SHRINK
@@ -214,9 +232,11 @@ def bcd_solve(basis, init_nodes, cfg):
     """Block coordinate descent from a fixed set of starting nodes.
 
     Alternates the exact weight solve with a Gauss-Newton node move until the
-    residual meets cfg.residual_tol, the outer budget runs out, or the node
-    move has failed STALL_LIMIT times in a row (the damping is then so large
-    that further outer iterations cannot make progress).
+    residual meets cfg.residual_tol, the outer budget runs out, the weight
+    solve fails (its iteration limit leaves all weights zero, so every later
+    node move would be a zero step), or the node move has failed STALL_LIMIT
+    times in a row (the damping is then so large that further outer
+    iterations cannot make progress).
 
     Returns
     -------
@@ -231,9 +251,11 @@ def bcd_solve(basis, init_nodes, cfg):
     nrm = 1.0
     for _ in range(cfg.max_outer_iters):
         phi = assemble_phi(basis, nodes)
-        w, _ = solve_weights(phi)
+        w, solved = solve_weights(phi)
         r, nrm = residual(phi, w)
         hist.append(nrm)
+        if not solved:
+            break
         if nrm <= cfg.residual_tol:
             converged = True
             break
@@ -246,10 +268,10 @@ def bcd_solve(basis, init_nodes, cfg):
         # outer budget exhausted after a node move: refresh weights so the
         # reported state is consistent with the final nodes
         phi = assemble_phi(basis, nodes)
-        w, _ = solve_weights(phi)
+        w, solved = solve_weights(phi)
         _, nrm = residual(phi, w)
         hist.append(nrm)
-        converged = nrm <= cfg.residual_tol
+        converged = solved and nrm <= cfg.residual_tol
     return QuadratureRule(
         nodes=nodes,
         weights=w,

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 import mixquad as mq
 from mixquad import benchmarks
+from mixquad.basis import _moment_gram
 
 
 def gauss1d():
@@ -116,6 +117,14 @@ class TestGramSchmidt:
         resid = np.abs(basis.coeff_matrix @ G @ basis.coeff_matrix.T - np.eye(basis.size)).max()
         assert resid <= 1e-8
         assert_allclose(basis.gram_residual, resid, rtol=1e-6, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["gm4", "gm6"])
+    def test_moment_gram_matches_table_lookup(self, name):
+        gm = getattr(benchmarks, name)()
+        mom = mq.raw_moments(gm, 8)
+        E = [mi.exponents for mi in mq.enumerate_indices(gm.dim, 4)]
+        G = np.array([[mom[tuple(x + y for x, y in zip(a, b))] for b in E] for a in E])
+        assert np.array_equal(_moment_gram(mom, np.array(E)), G)
 
     def test_lower_order_basis_is_prefix_of_higher(self):
         gm = corr2d()
@@ -237,6 +246,18 @@ class TestEvalBasisJacobian:
                 xm[i] -= h
                 fd = (mq.eval_basis(basis, xp) - mq.eval_basis(basis, xm)) / (2.0 * h)
                 assert_allclose(J[:, i], fd, rtol=1e-6, atol=1e-7)
+
+    @pytest.mark.parametrize("d, q", [(1, 5), (2, 4), (6, 4)])
+    def test_parent_table_points_at_lowered_exponent(self, d, q):
+        idx = mq.enumerate_indices(d, q)
+        basis = mq.OrthoBasis(d, q, tuple(idx), np.eye(len(idx)), 0.0)
+        E = basis.exponent_matrix()
+        parent = basis._parents
+        assert parent.shape == (len(idx), d) and not parent.flags.writeable
+        for a in range(len(idx)):
+            for i in range(d):
+                if E[a, i] > 0:
+                    assert np.array_equal(E[parent[a, i]], E[a] - np.eye(d, dtype=int)[i])
 
     def test_batch_matches_scalar(self):
         basis = mq.gram_schmidt(mq.raw_moments(corr2d(), 6), 2, 3)

@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import LinAlgError
 from scipy.optimize import nnls
 
 import mixquad as mq
 from mixquad.benchmarks import gm4
-from mixquad.quadrature import GN_DAMPING, STALL_LIMIT
+from mixquad.quadrature import GN_DAMPING, STALL_LIMIT, _damped_step
 
 
 def gauss1d():
@@ -195,6 +196,31 @@ class TestGaussNewtonStep:
         assert np.array_equal(out, nodes)
         assert lam == pytest.approx(1e-5)
 
+    def test_failed_factorization_keeps_nodes_and_raises_damping(self, hermite2, monkeypatch):
+        def not_positive_definite(A, **kwargs):
+            raise LinAlgError("leading minor not positive definite")
+
+        monkeypatch.setattr("mixquad.quadrature.cho_factor", not_positive_definite)
+        nodes = np.array([[-0.9], [1.1]])
+        phi = mq.assemble_phi(hermite2, nodes)
+        w, _ = mq.solve_weights(phi)
+        r, _ = mq.residual(phi, w)
+        out, lam, improved = mq.gauss_newton_step(hermite2, nodes, w, r, 1e-6, mq.SolverConfig())
+        assert not improved
+        assert np.array_equal(out, nodes)
+        assert lam == pytest.approx(1e-5)
+
+    @pytest.mark.parametrize("N, n", [(12, 5), (12, 12), (5, 12)])
+    def test_damped_step_matches_stacked_least_squares(self, N, n):
+        # both sides of the smaller-dimension switch: n <= N and n > N
+        rng = np.random.default_rng(N + n)
+        for lam in (GN_DAMPING, 1e-2, 1.0):
+            J = rng.normal(size=(N, n))
+            r = rng.normal(size=N)
+            A = np.vstack([J, np.sqrt(lam) * np.eye(n)])
+            ref = np.linalg.lstsq(A, np.concatenate([-r, np.zeros(n)]), rcond=None)[0]
+            assert_allclose(_damped_step(J, r, lam), ref, rtol=1e-10, atol=1e-12)
+
 
 class TestBcdSolve:
     def test_optimal_start_converges_immediately(self, hermite2):
@@ -242,13 +268,28 @@ class TestBcdSolve:
         assert a.history == b.history
 
     def test_unreachable_tolerance_reports_nonconvergence(self, hermite2):
-        # below float resolution of this residual; solver must stop and say so
-        cfg = mq.SolverConfig(residual_tol=1e-300, max_outer_iters=40)
-        rule = mq.bcd_solve(hermite2, np.array([[-0.9], [1.1]]), cfg)
+        # one node cannot match E[x^2] = 1 at mean 0: the best residual is
+        # 1 / sqrt(3), at the node 0 with weight 2 / 3
+        cfg = mq.SolverConfig(max_outer_iters=40)
+        rule = mq.bcd_solve(hermite2, np.array([[0.4]]), cfg)
         assert not rule.converged
         assert rule.residual_norm > 0.0
+        assert rule.residual_norm >= 1.0 / np.sqrt(3.0) - 1e-12
         # the final weight refresh may add one entry past the outer budget
         assert len(rule.history) <= cfg.max_outer_iters + 1
+
+
+    def test_unconverged_weight_solve_stops_the_solve(self, hermite2, monkeypatch):
+        # all-zero weights make every node move a zero step that counts as an
+        # improvement, so the stall exit would never fire
+        def exhausted(A, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr("mixquad.quadrature.nnls", exhausted)
+        rule = mq.bcd_solve(hermite2, np.array([[-0.9], [1.1]]), mq.SolverConfig())
+        assert not rule.converged
+        assert len(rule.history) == 1
+        assert np.all(rule.weights == 0.0)
 
 
 class TestInitNodes:
