@@ -1,12 +1,16 @@
 """Projection onto the basis, surrogate statistics, and model adapters."""
 
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import gaussian_kde
 
 import mixquad as mq
+from mixquad import benchmarks
 from mixquad.collocation import EVAL_CHUNK
 
 
@@ -172,10 +176,11 @@ class TestEvaluateAndStatistics:
             coefficients=rng.normal(size=basis_p.size),
             rule_residual=0.0,
         )
-        X = mq.sample(gm, EVAL_CHUNK + 7, seed=27)
+        # two full chunks and a three-point tail
+        X = mq.sample(gm, 2 * EVAL_CHUNK + 3, seed=27)
         out = mq.evaluate_batch(s, X)
         direct = mq.eval_basis_batch(basis_p, X) @ s.coefficients
-        assert_allclose(out, direct, rtol=1e-12, atol=1e-13)
+        assert_allclose(out, direct, rtol=1e-14, atol=1e-14)
 
     def test_variance_matches_monte_carlo(self, corr2d_setup):
         gm, basis_p, rule = corr2d_setup
@@ -244,6 +249,45 @@ class TestDensityEstimate:
         s = mq.project(rule, basis_p, rule.nodes[:, 0])
         with pytest.raises(ValueError, match="n_samples"):
             mq.density_estimate(s, gm, 10, seed=0)
+
+    @pytest.mark.parametrize("mixture,model", [("gm4", "filter4"), ("gm6", "ro6")])
+    def test_binned_kde_matches_exact_kde(self, mixture, model):
+        # order-2 surrogate of the benchmark model, fitted by least squares
+        gm = benchmarks.builtin_mixture(mixture)
+        basis_p = mq.gram_schmidt(mq.raw_moments(gm, 4), gm.dim, 2)
+        X = mq.sample(gm, 4000, seed=31)
+        c = np.linalg.lstsq(
+            mq.eval_basis_batch(basis_p, X), benchmarks.BUILTIN_MODELS[model](X), rcond=None
+        )[0]
+        s = mq.Surrogate(basis=basis_p, coefficients=c, rule_residual=0.0)
+        est = mq.density_estimate(s, gm, 10 ** 5, seed=32)
+        kde = gaussian_kde(est.outputs, bw_method="silverman")
+        h = np.sqrt(kde.covariance[0, 0])
+        pts = np.linspace(est.outputs.min() - 3.0 * h, est.outputs.max() + 3.0 * h, 512)
+        assert_allclose(est.kde_points, pts, rtol=0.0, atol=1e-12 * np.abs(pts).max())
+        exact = kde(pts)
+        assert np.abs(est.kde_density - exact).max() <= 1e-4 * exact.max()
+        assert abs(np.trapezoid(est.kde_density, est.kde_points) - 1.0) <= 1e-3
+
+    def test_binned_kde_grid_adapts_to_a_heavy_outlier(self, gh_setup, monkeypatch):
+        # range/h near 2000: the grid must refine beyond 8 points per output step
+        gm, basis_p, rule = gh_setup
+        ys = np.append(np.random.default_rng(33).normal(size=99_999), 300.0)
+        monkeypatch.setattr(mq.collocation, "evaluate_batch", lambda s, X: ys)
+        s = mq.project(rule, basis_p, rule.nodes[:, 0])
+        est = mq.density_estimate(s, gm, ys.size, seed=0)
+        exact = gaussian_kde(ys, bw_method="silverman")(est.kde_points)
+        assert np.abs(est.kde_density - exact).max() <= 1e-4 * exact.max()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(mq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mixquad; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 class TestEvaluateModel:
