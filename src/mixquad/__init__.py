@@ -3,118 +3,22 @@
 Pipeline: exact mixture moments -> moment-based orthonormal basis ->
 optimized nonnegative quadrature rule -> projection of a black-box model ->
 surrogate statistics and densities. See the README for the file formats and
-the command-line front end.
+the command-line front end. The package re-exports the public names of its
+modules, each listed once in that module's __all__.
 """
 
-from .basis import (
-    DegenerateBasisError,
-    MultiIndex,
-    OrthoBasis,
-    basis_from_json,
-    basis_to_json,
-    enumerate_indices,
-    eval_basis,
-    eval_basis_batch,
-    eval_basis_jacobian,
-    eval_basis_jacobian_batch,
-    gram_schmidt,
-)
-from .collocation import (
-    AdapterError,
-    DensityEstimate,
-    ModelAdapter,
-    Surrogate,
-    density_estimate,
-    evaluate,
-    evaluate_batch,
-    evaluate_model,
-    project,
-    project_columns,
-    statistics,
-    surrogate_from_json,
-    surrogate_to_json,
-    values_from_csv,
-    values_to_csv,
-)
-from .distribution import (
-    GaussianMixture,
-    MomentOverflowError,
-    MomentTable,
-    density,
-    mixture_from_json,
-    mixture_to_json,
-    raw_moments,
-    sample,
-)
-from .quadrature import (
-    IncreasePhaseError,
-    QuadratureRule,
-    SolverConfig,
-    adaptive_rule,
-    assemble_phi,
-    bcd_solve,
-    gauss_newton_step,
-    init_nodes,
-    nodes_from_csv,
-    nodes_to_csv,
-    residual,
-    rule_from_json,
-    rule_to_json,
-    solve_weights,
-    stacked_jacobian,
-)
+from . import basis, collocation, distribution, quadrature
+from .basis import *  # noqa: F403
+from .collocation import *  # noqa: F403
+from .distribution import *  # noqa: F403
+from .quadrature import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussianMixture",
-    "MomentTable",
-    "MomentOverflowError",
-    "sample",
-    "density",
-    "raw_moments",
-    "mixture_to_json",
-    "mixture_from_json",
-    "MultiIndex",
-    "OrthoBasis",
-    "DegenerateBasisError",
-    "enumerate_indices",
-    "gram_schmidt",
-    "eval_basis",
-    "eval_basis_batch",
-    "eval_basis_jacobian",
-    "eval_basis_jacobian_batch",
-    "basis_to_json",
-    "basis_from_json",
-    "SolverConfig",
-    "QuadratureRule",
-    "IncreasePhaseError",
-    "assemble_phi",
-    "residual",
-    "solve_weights",
-    "stacked_jacobian",
-    "gauss_newton_step",
-    "bcd_solve",
-    "init_nodes",
-    "adaptive_rule",
-    "rule_to_json",
-    "rule_from_json",
-    "nodes_to_csv",
-    "nodes_from_csv",
-    "Surrogate",
-    "ModelAdapter",
-    "AdapterError",
-    "DensityEstimate",
-    "project",
-    "project_columns",
-    "evaluate",
-    "evaluate_batch",
-    "statistics",
-    "density_estimate",
-    "evaluate_model",
-    "surrogate_to_json",
-    "surrogate_from_json",
-    "values_to_csv",
-    "values_from_csv",
+    *distribution.__all__,
+    *basis.__all__,
+    *quadrature.__all__,
+    *collocation.__all__,
     "__version__",
 ]

@@ -4,9 +4,10 @@ Basis functions are stored as rows of a lower-triangular coefficient matrix
 over graded-lexicographic monomials. Orthonormalization uses exact moments of
 the measure only, never samples, so construction is fully deterministic: the
 coefficient matrix is the inverse Cholesky factor of the monomial moment Gram
-matrix. Evaluation forms all monomials by array products, one per (dimension,
-exponent) pair; derivatives gather each monomial's parent alpha - e_i from a
-table built with the basis, so all Jacobians come from one matrix product.
+matrix. Evaluation forms the monomials one grade at a time, each from a
+lower-grade prefix in a table built with the basis; derivatives gather each
+monomial's parent alpha - e_i from a second such table, so all Jacobians come
+from one matrix product.
 """
 
 import json
@@ -142,6 +143,15 @@ class OrthoBasis:
         )
         parent.flags.writeable = False
         object.__setattr__(self, "_parents", parent)
+        # prefix[a] = (rank of alpha_a with its last nonzero coordinate j set
+        # to 0, row of x_j ** alpha_a,j in the flattened power table)
+        j = self.dim - 1 - np.argmax(E[:, ::-1] > 0, axis=1)
+        e = E[np.arange(len(E)), j]
+        prefix = np.stack(
+            [_graded_lex_rank(_tails(E - e[:, None] * unit[j])), j * (self.order + 1) + e], axis=1
+        )
+        prefix.flags.writeable = False
+        object.__setattr__(self, "_prefixes", prefix)
 
     @property
     def size(self):
@@ -242,23 +252,6 @@ def gram_schmidt(moments, d, q):
     )
 
 
-def _power_table(basis, X):
-    """P[i, e, :] = X[:, i] ** e for e = 0..order."""
-    P = np.ones((X.shape[1], basis.order + 1, X.shape[0]))
-    for e in range(1, basis.order + 1):
-        P[:, e] = P[:, e - 1] * X.T
-    return P
-
-
-def _multiply_monomials(out, E, P):
-    """out[a] *= prod_i P[i, E[a, i]], one masked product per (dimension,
-    exponent) pair; each row takes its factors in dimension order."""
-    for i in range(E.shape[1]):
-        for e in range(1, P.shape[1]):
-            out[E[:, i] == e] *= P[i, e]
-    return out
-
-
 def _points(basis, xs):
     X = np.atleast_2d(np.asarray(xs, dtype=float))
     if X.shape[1] != basis.dim:
@@ -267,9 +260,24 @@ def _points(basis, xs):
 
 
 def _monomials(basis, X):
-    """mono[a, s] = X[s] ** alpha_a, shape (N, n)."""
-    mono = np.ones((basis.size, X.shape[0]))
-    return _multiply_monomials(mono, basis.exponent_matrix(), _power_table(basis, X))
+    """mono[a, s] = X[s] ** alpha_a, shape (N, n).
+
+    Grade by grade, mono[alpha] = mono[alpha'] * x_j ** alpha_j with j the last
+    nonzero coordinate of alpha and alpha' of lower grade (see _prefixes), so
+    each monomial multiplies its powers left to right over the dimensions.
+    """
+    n = X.shape[0]
+    P = np.ones((basis.dim, basis.order + 1, n))
+    for e in range(1, basis.order + 1):
+        P[:, e] = P[:, e - 1] * X.T
+    P = P.reshape(-1, n)
+    mono = np.empty((basis.size, n))
+    mono[0] = 1.0
+    prefix, power = basis._prefixes.T
+    for t in range(1, basis.order + 1):
+        lo, hi = comb(basis.dim + t - 1, t - 1), comb(basis.dim + t, t)
+        np.multiply(mono[prefix[lo:hi]], P[power[lo:hi]], out=mono[lo:hi])
+    return mono
 
 
 def eval_basis_batch(basis, xs):

@@ -169,6 +169,12 @@ def cmd_sample(args):
     return 0
 
 
+def _order(text):
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
@@ -176,7 +182,7 @@ def build_parser():
         required=True,
         help="mixture JSON path or builtin:<name> (builtin:gm6, builtin:gm4)",
     )
-    shared.add_argument("--order", type=int, default=2, metavar="P",
+    shared.add_argument("--order", type=_order, default=2, metavar="P",
                         help="surrogate total order p (default 2)")
     shared.add_argument("--seed", type=int, default=0, help="seed (default 0)")
     shared.add_argument("--tol", type=float, default=1e-8,

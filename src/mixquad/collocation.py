@@ -39,8 +39,10 @@ __all__ = [
 ]
 
 # surrogate evaluation over large Monte Carlo batches works on cache-sized
-# blocks of points
-EVAL_CHUNK = 8192
+# blocks of points, small enough that the allocator reuses the per-grade
+# temporaries of the monomial table instead of faulting in fresh pages for
+# every block
+EVAL_CHUNK = 2048
 
 
 class AdapterError(RuntimeError):
@@ -121,8 +123,10 @@ def project(rule, basis, values, model_name=None):
     Raises
     ------
     ValueError
-        On non-finite values (simulator failure), naming the node index.
+        On non-finite values (simulator failure), naming the node index, or
+        when the rule is not exact through order 2p.
     """
+    _check_exactness(rule, basis)
     y = np.asarray(values, dtype=float).reshape(-1)
     if y.shape[0] != rule.n_nodes:
         raise ValueError(f"{y.shape[0]} values for {rule.n_nodes} nodes")
@@ -143,12 +147,22 @@ def project(rule, basis, values, model_name=None):
     )
 
 
+def _check_exactness(rule, basis):
+    """Products of two order-p basis functions need a rule exact through order 2p."""
+    if 2 * basis.order > rule.basis_order:
+        raise ValueError(
+            f"a surrogate of order {basis.order} needs a rule exact through order "
+            f"{2 * basis.order}; this rule is exact through order {rule.basis_order}"
+        )
+
+
 def project_columns(rule, basis, value_matrix):
     """Independent projections of several outputs sharing one rule.
 
     value_matrix has shape (M, F), one column per output (for instance per
     frequency point); returns the (F, N_p) array of coefficient vectors.
     """
+    _check_exactness(rule, basis)
     V = np.asarray(value_matrix, dtype=float)
     if V.ndim != 2 or V.shape[0] != rule.n_nodes:
         raise ValueError(f"value matrix shape {V.shape} does not match {rule.n_nodes} nodes")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from math import ceil, comb
 
 import numpy as np
-from scipy.cluster.hierarchy import cut_tree, linkage
+from scipy.cluster.hierarchy import linkage
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import nnls
 
@@ -288,8 +288,8 @@ def init_nodes(gm, M, cfg):
 
     Draws cfg.candidate_count i.i.d. samples (10 * M when unset), runs
     complete-linkage agglomerative clustering on Euclidean distances, and
-    returns the component-wise mean of each cluster. Deterministic given
-    cfg.seed.
+    returns the component-wise mean of each cluster, in the order of the
+    clusters' smallest sample indices. Deterministic given cfg.seed.
     """
     if M < 1:
         raise ValueError(f"need M >= 1 nodes, got {M}")
@@ -299,9 +299,24 @@ def init_nodes(gm, M, cfg):
     X = sample(gm, count, cfg.seed)
     if M == count:
         return X.copy()
-    Z = linkage(X, method="complete")
-    labels = cut_tree(Z, n_clusters=M).ravel()
+    labels = _cut_labels(linkage(X, method="complete"), M)
     return np.array([X[labels == c].mean(axis=0) for c in range(M)])
+
+
+def _cut_labels(Z, M):
+    """Cluster of each sample after the first n - M merges of the linkage Z.
+
+    Cluster n + k is the one row k of Z forms; pointer doubling takes each
+    sample to its root. Clusters are numbered by their smallest member, which
+    is scipy's own tree-cut numbering whenever the merge heights are distinct.
+    """
+    n = len(Z) + 1
+    up = np.arange(2 * n - M)
+    up[Z[: n - M, :2].astype(int).ravel()] = np.repeat(np.arange(n, 2 * n - M), 2)
+    while not np.array_equal(up, up[up]):
+        up = up[up]
+    _, first, root = np.unique(up[:n], return_index=True, return_inverse=True)
+    return np.searchsorted(np.sort(first), first)[root]
 
 
 def adaptive_rule(basis, gm, cfg, on_accept=None):

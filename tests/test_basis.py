@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 
 import mixquad as mq
 from mixquad import benchmarks
-from mixquad.basis import _moment_gram
+from mixquad.basis import _moment_gram, _monomials
+from mixquad.collocation import EVAL_CHUNK
 
 
 def gauss1d():
@@ -220,6 +221,26 @@ class TestEvalBasis:
         with pytest.raises(ValueError):
             mq.eval_basis(basis, [0.0, 0.0])
 
+    @pytest.mark.parametrize("name", ["gm4", "gm6"])
+    def test_monomials_equal_left_to_right_power_products(self, name):
+        # the grade-by-grade table multiplies the same factors in the same order
+        gm = benchmarks.builtin_mixture(name)
+        for q in range(1, 7):
+            idx = mq.enumerate_indices(gm.dim, q)
+            basis = mq.OrthoBasis(gm.dim, q, tuple(idx), np.eye(len(idx)), 0.0)
+            for n in (1, 36, 2 * EVAL_CHUNK + 3):
+                X = mq.sample(gm, n, seed=q)
+                mono = _monomials(basis, X)
+                for a, alpha in enumerate(basis.exponent_matrix()):
+                    ref = np.ones(n)
+                    for i, e in enumerate(alpha):
+                        if e:
+                            power = X[:, i]
+                            for _ in range(e - 1):
+                                power = power * X[:, i]
+                            ref = ref * power
+                    assert np.array_equal(mono[a], ref), (q, n, tuple(alpha))
+
 
 class TestEvalBasisJacobian:
     def test_constant_row_is_zero(self):
@@ -258,6 +279,20 @@ class TestEvalBasisJacobian:
             for i in range(d):
                 if E[a, i] > 0:
                     assert np.array_equal(E[parent[a, i]], E[a] - np.eye(d, dtype=int)[i])
+
+    @pytest.mark.parametrize("d, q", [(1, 5), (2, 4), (6, 4)])
+    def test_prefix_table_points_at_alpha_without_its_last_coordinate(self, d, q):
+        idx = mq.enumerate_indices(d, q)
+        basis = mq.OrthoBasis(d, q, tuple(idx), np.eye(len(idx)), 0.0)
+        E = basis.exponent_matrix()
+        prefix = basis._prefixes
+        assert prefix.shape == (len(idx), 2) and not prefix.flags.writeable
+        for a in range(1, len(idx)):
+            j = max(np.flatnonzero(E[a]))
+            lowered = E[a].copy()
+            lowered[j] = 0
+            assert np.array_equal(E[prefix[a, 0]], lowered)
+            assert prefix[a, 1] == j * (q + 1) + E[a, j]
 
     def test_batch_matches_scalar(self):
         basis = mq.gram_schmidt(mq.raw_moments(corr2d(), 6), 2, 3)

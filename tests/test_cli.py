@@ -202,6 +202,18 @@ class TestSurrogateCommand:
         )
         assert res.returncode == 1 and "builtin:" in res.stderr
 
+    def test_order_above_the_rule_is_rejected(self, cfg2, pipeline_out, tmp_path):
+        # pipeline_out holds an order-2 rule, exact through order 4
+        rule = mq.rule_from_json((pipeline_out / "rule.json").read_text())
+        values = tmp_path / "values.csv"
+        values.write_text(mq.values_to_csv(np.ones(rule.n_nodes)))
+        before = (pipeline_out / "surrogate.json").read_bytes()
+        res = run_cli("surrogate", "--config", cfg2, "--out", pipeline_out, "--order", 3,
+                      "--values", values)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and "order 6" in res.stderr
+        assert (pipeline_out / "surrogate.json").read_bytes() == before
+
     def test_missing_rule_file_reported(self, cfg2, tmp_path):
         res = run_cli(
             "surrogate", "--config", cfg2, "--out", tmp_path, "--model", "builtin:ro6"
@@ -274,3 +286,8 @@ class TestParser:
 
     def test_no_arguments_is_a_usage_error(self):
         assert run_cli().returncode == 2
+
+    def test_negative_order_names_the_flag(self, cfg1, tmp_path):
+        res = run_cli("basis", "--config", cfg1, "--out", tmp_path, "--order", -1)
+        assert res.returncode == 2
+        assert "argument --order: must be an integer >= 0, got '-1'" in res.stderr

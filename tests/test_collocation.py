@@ -111,6 +111,14 @@ class TestProject:
         with pytest.raises(ValueError, match="values"):
             mq.project(rule, basis_p, np.ones(rule.n_nodes + 1))
 
+    def test_rule_not_exact_through_order_2p_rejected(self, corr2d_setup):
+        gm, _, rule = corr2d_setup  # rule exact through order 4
+        basis_3 = mq.gram_schmidt(mq.raw_moments(gm, 6), 2, 3)
+        with pytest.raises(ValueError, match="order 3 needs .* order 6.* order 4"):
+            mq.project(rule, basis_3, np.ones(rule.n_nodes))
+        with pytest.raises(ValueError, match="order 3 needs .* order 6.* order 4"):
+            mq.project_columns(rule, basis_3, np.ones((rule.n_nodes, 2)))
+
     def test_metadata_recorded(self, corr2d_setup):
         _, basis_p, rule = corr2d_setup
         s = mq.project(rule, basis_p, np.ones(rule.n_nodes), model_name="ones")

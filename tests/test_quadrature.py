@@ -5,12 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.cluster.hierarchy import cut_tree, linkage
 from scipy.linalg import LinAlgError
 from scipy.optimize import nnls
 
 import mixquad as mq
-from mixquad.benchmarks import gm4
-from mixquad.quadrature import GN_DAMPING, STALL_LIMIT, _damped_step
+from mixquad.benchmarks import builtin_mixture, gm4
+from mixquad.quadrature import GN_DAMPING, STALL_LIMIT, _cut_labels, _damped_step
 
 
 def gauss1d():
@@ -324,6 +325,28 @@ class TestInitNodes:
         gm = corr2d()
         with pytest.raises(ValueError, match="candidate"):
             mq.init_nodes(gm, 50, mq.SolverConfig(candidate_count=20))
+
+    @pytest.mark.parametrize("name", ["gm4", "gm6"])
+    def test_matches_cut_tree_centroids_on_sampled_clouds(self, name):
+        gm = builtin_mixture(name)
+        for seed, M in [(0, 1), (0, 18), (1, 35), (2, 53), (3, 299)]:
+            X = mq.sample(gm, 300, seed)
+            labels = cut_tree(linkage(X, method="complete"), n_clusters=M).ravel()
+            ref = np.array([X[labels == c].mean(axis=0) for c in range(M)])
+            got = mq.init_nodes(gm, M, mq.SolverConfig(seed=seed, candidate_count=300))
+            assert np.array_equal(got, ref), (seed, M)
+
+    def test_tied_lattice_cuts_into_m_nonempty_clusters(self):
+        # tied merge heights: the merge order, and so the numbering, may
+        # differ from cut_tree's, but every cut keeps M nonempty clusters
+        # numbered by their smallest member
+        axes = np.meshgrid(np.arange(5.0), np.arange(5.0), np.arange(3.0), indexing="ij")
+        X = np.stack(axes, axis=-1).reshape(-1, 3)
+        Z = linkage(X, method="complete")
+        for M in range(1, len(X) + 1):
+            labels, first = np.unique(_cut_labels(Z, M), return_index=True)
+            assert np.array_equal(labels, np.arange(M))
+            assert np.all(np.diff(first) > 0)
 
 
 class TestAdaptiveRule:
