@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "MultiIndex",
@@ -219,6 +217,10 @@ def gram_schmidt(moments, d, q):
         If the moment table is too short or the achieved orthonormality
         residual exceeds 1e-8.
     """
+    # imported here: evaluating or reading a basis must not load scipy
+    from scipy.linalg import solve_triangular
+    from scipy.linalg.lapack import dpotrf
+
     if moments.max_order < 2 * q:
         raise ValueError(
             f"moment table covers order {moments.max_order}, "

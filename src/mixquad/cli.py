@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks
-from .basis import gram_schmidt
-from .basis import basis_to_json, basis_from_json
+from .basis import basis_from_json, basis_to_json, gram_schmidt
 from .collocation import (
     AdapterError,
     ModelAdapter,
+    _check_exactness,
     density_estimate,
     evaluate_model,
     project,
@@ -29,14 +29,7 @@ from .collocation import (
     surrogate_to_json,
 )
 from .distribution import mixture_from_json, raw_moments, sample
-from .quadrature import (
-    IncreasePhaseError,
-    SolverConfig,
-    adaptive_rule,
-    nodes_to_csv,
-    rule_from_json,
-    rule_to_json,
-)
+from .rules import IncreasePhaseError, nodes_to_csv, rule_from_json, rule_to_json
 
 
 def _load_mixture(spec):
@@ -72,14 +65,27 @@ def cmd_basis(args):
     return 0
 
 
+def _stage_basis(path, gm, q):
+    """The order-q basis from path, as the basis stage wrote it, or built afresh."""
+    if not path.exists():
+        return gram_schmidt(raw_moments(gm, 2 * q), gm.dim, q)
+    basis = basis_from_json(path.read_text())
+    if (basis.dim, basis.order) != (gm.dim, q):
+        raise ValueError(
+            f"{path} holds a basis of dim {basis.dim} and order {basis.order}; "
+            f"this run needs dim {gm.dim} and order {q}"
+        )
+    return basis
+
+
 def cmd_quadrature(args):
+    # imported here so that the stages that only read artifacts never load scipy
+    from .quadrature import SolverConfig, adaptive_rule
+
     gm = _load_mixture(args.config)
-    p = args.order
-    moments = raw_moments(gm, 4 * p)
-    basis_2p = gram_schmidt(moments, gm.dim, 2 * p)
-    cfg = SolverConfig(residual_tol=args.tol, seed=args.seed)
-    rule = adaptive_rule(basis_2p, gm, cfg)
     out = Path(args.out)
+    basis_2p = _stage_basis(out / "basis_2p.json", gm, 2 * args.order)
+    rule = adaptive_rule(basis_2p, gm, SolverConfig(residual_tol=args.tol, seed=args.seed))
     _write(out / "rule.json", rule_to_json(rule))
     _write(out / "nodes.csv", nodes_to_csv(rule.nodes))
     print(
@@ -114,8 +120,8 @@ def cmd_surrogate(args):
     rule = rule_from_json((out / "rule.json").read_text())
     if rule.dim != gm.dim:
         raise ValueError(f"rule dimension {rule.dim} does not match mixture dimension {gm.dim}")
-    moments = raw_moments(gm, 2 * p)
-    basis_p = gram_schmidt(moments, gm.dim, p)
+    _check_exactness(rule, p)
+    basis_p = _stage_basis(out / "basis_p.json", gm, p)
     adapter = _adapter_from_args(args)
     values = evaluate_model(adapter, rule.nodes)
     surr = project(rule, basis_p, values, model_name=adapter.describe())

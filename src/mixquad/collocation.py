@@ -18,7 +18,7 @@ import numpy as np
 from . import benchmarks
 from .basis import basis_from_dict, basis_to_dict, eval_basis, eval_basis_batch
 from .distribution import sample
-from .quadrature import nodes_to_csv
+from .rules import nodes_to_csv
 
 __all__ = [
     "Surrogate",
@@ -126,7 +126,7 @@ def project(rule, basis, values, model_name=None):
         On non-finite values (simulator failure), naming the node index, or
         when the rule is not exact through order 2p.
     """
-    _check_exactness(rule, basis)
+    _check_exactness(rule, basis.order)
     y = np.asarray(values, dtype=float).reshape(-1)
     if y.shape[0] != rule.n_nodes:
         raise ValueError(f"{y.shape[0]} values for {rule.n_nodes} nodes")
@@ -147,12 +147,12 @@ def project(rule, basis, values, model_name=None):
     )
 
 
-def _check_exactness(rule, basis):
+def _check_exactness(rule, p):
     """Products of two order-p basis functions need a rule exact through order 2p."""
-    if 2 * basis.order > rule.basis_order:
+    if 2 * p > rule.basis_order:
         raise ValueError(
-            f"a surrogate of order {basis.order} needs a rule exact through order "
-            f"{2 * basis.order}; this rule is exact through order {rule.basis_order}"
+            f"a surrogate of order {p} needs a rule exact through order "
+            f"{2 * p}; this rule is exact through order {rule.basis_order}"
         )
 
 
@@ -162,7 +162,7 @@ def project_columns(rule, basis, value_matrix):
     value_matrix has shape (M, F), one column per output (for instance per
     frequency point); returns the (F, N_p) array of coefficient vectors.
     """
-    _check_exactness(rule, basis)
+    _check_exactness(rule, basis.order)
     V = np.asarray(value_matrix, dtype=float)
     if V.ndim != 2 or V.shape[0] != rule.n_nodes:
         raise ValueError(f"value matrix shape {V.shape} does not match {rule.n_nodes} nodes")

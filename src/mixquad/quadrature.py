@@ -15,7 +15,6 @@ order-(q + 1) basis, attempted only when the M (d + 1) unknowns can match
 its N_{q+1} equations.
 """
 
-import json
 from dataclasses import dataclass, replace
 from math import ceil, comb
 
@@ -26,11 +25,11 @@ from scipy.optimize import nnls
 
 from .basis import eval_basis_batch, eval_basis_jacobian_batch, gram_schmidt
 from .distribution import raw_moments, sample
+# perfbench/child.py reads rule_to_json and rule_from_json from this module
+from .rules import IncreasePhaseError, QuadratureRule, rule_from_json, rule_to_json  # noqa: F401
 
 __all__ = [
     "SolverConfig",
-    "QuadratureRule",
-    "IncreasePhaseError",
     "assemble_phi",
     "residual",
     "solve_weights",
@@ -39,10 +38,6 @@ __all__ = [
     "bcd_solve",
     "init_nodes",
     "adaptive_rule",
-    "rule_to_json",
-    "rule_from_json",
-    "nodes_to_csv",
-    "nodes_from_csv",
 ]
 
 # consecutive failed Gauss-Newton moves before an early non-converged exit;
@@ -56,20 +51,6 @@ GN_DAMPING = 1e-6
 LINE_SEARCH_SHRINK = 0.5
 # nodes at most this far apart (Euclidean) count as one in the decrease phase
 COINCIDENT_TOL = 1e-6
-
-
-class IncreasePhaseError(RuntimeError):
-    """Increase phase hit the node budget without converging."""
-
-    def __init__(self, M, cap, last_residual):
-        self.M = M
-        self.cap = cap
-        self.last_residual = last_residual
-        super().__init__(
-            f"increase phase reached M = {M} > {cap} without convergence "
-            f"(last residual {last_residual:.3e}); "
-            "ill-posed basis or tolerance too tight"
-        )
 
 
 @dataclass(frozen=True)
@@ -90,44 +71,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be > 0")
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Nodes, nonnegative weights, and the achieved exactness residual.
-
-    history holds the per-outer-iteration residuals of the producing solve
-    (monotone non-increasing by the line-search contract). For a rule kept
-    from adaptive_rule's maximal-exactness polish that solve ran on the
-    order-(basis_order + 1) basis, so history measures against that basis,
-    while residual_norm and basis_order always refer to the caller's basis.
-    converged records whether residual_norm met the tolerance; seed is the
-    solver seed for reproducibility of the whole construction.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    residual_norm: float
-    basis_order: int
-    history: tuple = ()
-    converged: bool = False
-    seed: int = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", np.atleast_2d(np.asarray(self.nodes, dtype=float)))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if self.weights.shape != (self.nodes.shape[0],):
-            raise ValueError("one weight per node required")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative, exactly")
-
-    @property
-    def n_nodes(self):
-        return self.nodes.shape[0]
-
-    @property
-    def dim(self):
-        return self.nodes.shape[1]
 
 
 def assemble_phi(basis, nodes):
@@ -410,48 +353,3 @@ def _polish(basis, gm, rule, cfg):
     if nrm > cfg.residual_tol:
         return rule
     return replace(trial, residual_norm=nrm, basis_order=basis.order)
-
-
-def rule_to_json(rule):
-    """Serialize to canonical JSON (fixed key order, round-trip decimals)."""
-    obj = {
-        "dim": int(rule.dim),
-        "order_2p": int(rule.basis_order),
-        "nodes": [[float(v) for v in row] for row in rule.nodes],
-        "weights": [float(v) for v in rule.weights],
-        "residual_norm": float(rule.residual_norm),
-        "converged": bool(rule.converged),
-        "seed": None if rule.seed is None else int(rule.seed),
-    }
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def rule_from_json(text):
-    obj = json.loads(text)
-    try:
-        return QuadratureRule(
-            nodes=np.array(obj["nodes"], dtype=float),
-            weights=np.array(obj["weights"], dtype=float),
-            residual_norm=float(obj["residual_norm"]),
-            basis_order=int(obj["order_2p"]),
-            converged=bool(obj["converged"]),
-            seed=obj["seed"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed quadrature document: {exc}") from exc
-
-
-def nodes_to_csv(nodes):
-    """One node per row, full round-trip decimals, comma separated."""
-    lines = [",".join(repr(float(v)) for v in row) for row in np.atleast_2d(nodes)]
-    return "\n".join(lines) + "\n"
-
-
-def nodes_from_csv(text):
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append([float(tok) for tok in line.split(",")])
-    return np.array(rows, dtype=float)

@@ -134,7 +134,7 @@ class TestQuadratureCommand:
         def unreachable(basis, gm, cfg):
             raise mq.IncreasePhaseError(M=70, cap=60, last_residual=1e-17)
 
-        monkeypatch.setattr("mixquad.cli.adaptive_rule", unreachable)
+        monkeypatch.setattr("mixquad.quadrature.adaptive_rule", unreachable)
         code = main(["quadrature", "--config", str(cfg1), "--out", str(tmp_path), "--order", "1"])
         err = capsys.readouterr().err
         assert code == 1
@@ -214,12 +214,81 @@ class TestSurrogateCommand:
         assert res.stderr.startswith("error:") and "order 6" in res.stderr
         assert (pipeline_out / "surrogate.json").read_bytes() == before
 
+    def test_order_is_checked_before_the_model_runs(self, cfg2, pipeline_out, tmp_path,
+                                                    capsys):
+        (tmp_path / "rule.json").write_bytes((pipeline_out / "rule.json").read_bytes())
+        marker = tmp_path / "model-ran"
+        script = tmp_path / "model.py"
+        script.write_text(
+            "import sys\n"
+            f"open({str(marker)!r}, 'w').close()\n"
+            "[print(0.0) for _ in sys.stdin]\n"
+        )
+        code = main(["surrogate", "--config", str(cfg2), "--out", str(tmp_path), "--order", "3",
+                     "--model-cmd", f"{sys.executable} {script}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "order 6" in err
+        assert not marker.exists()
+
     def test_missing_rule_file_reported(self, cfg2, tmp_path):
         res = run_cli(
             "surrogate", "--config", cfg2, "--out", tmp_path, "--model", "builtin:ro6"
         )
         assert res.returncode == 1
         assert "rule.json" in res.stderr
+
+
+@pytest.fixture(scope="module")
+def gm4_p1(tmp_path_factory):
+    """basis, quadrature and surrogate of builtin:gm4 at order 1 in one directory."""
+    out = tmp_path_factory.mktemp("gm4-p1")
+    for stage in ("basis", "quadrature", "surrogate"):
+        extra = ["--model", "builtin:filter4"] if stage == "surrogate" else []
+        argv = [stage, "--config", "builtin:gm4", "--order", "1", "--out", str(out), *extra]
+        assert main(argv) == 0
+    return out
+
+
+class TestBasisReuse:
+    def test_artifacts_do_not_depend_on_the_basis_files(self, gm4_p1, tmp_path):
+        for stage in ("quadrature", "surrogate"):
+            extra = ["--model", "builtin:filter4"] if stage == "surrogate" else []
+            argv = [stage, "--config", "builtin:gm4", "--order", "1", "--out", str(tmp_path)]
+            assert main([*argv, *extra]) == 0
+        assert not (tmp_path / "basis_p.json").exists()
+        for name in ("rule.json", "surrogate.json", "coefficients.csv"):
+            assert (tmp_path / name).read_bytes() == (gm4_p1 / name).read_bytes(), name
+
+    @pytest.mark.parametrize("gm, order", [(mq.benchmarks.builtin_mixture("gm4"), 2),
+                                           (corr2d(), 1)], ids=["order", "dim"])
+    def test_mismatched_basis_file_is_rejected(self, gm4_p1, tmp_path, capsys, gm, order):
+        (tmp_path / "rule.json").write_bytes((gm4_p1 / "rule.json").read_bytes())
+        stale = mq.gram_schmidt(mq.raw_moments(gm, 2 * order), gm.dim, order)
+        (tmp_path / "basis_p.json").write_text(mq.basis_to_json(stale))
+        code = main(["surrogate", "--config", "builtin:gm4", "--order", "1",
+                     "--out", str(tmp_path), "--model", "builtin:filter4"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and str(tmp_path / "basis_p.json") in err
+        assert f"dim {gm.dim} and order {order};" in err
+        assert not (tmp_path / "surrogate.json").exists()
+
+    @pytest.mark.parametrize("stage", ["surrogate", "stats", "sample"])
+    def test_stages_reading_artifacts_load_no_scipy(self, gm4_p1, tmp_path, stage):
+        for name in ("rule.json", "basis_p.json", "surrogate.json"):
+            (tmp_path / name).write_bytes((gm4_p1 / name).read_bytes())
+        extra = {"surrogate": ["--model", "builtin:filter4"], "sample": ["--n", "10"]}
+        argv = [stage, "--config", "builtin:gm4", "--order", "1", "--out", str(tmp_path),
+                *extra.get(stage, [])]
+        code = (
+            "import sys; from mixquad.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestStatsCommand:
