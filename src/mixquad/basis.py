@@ -308,11 +308,15 @@ def eval_basis_jacobian_batch(basis, xs):
     -------
     ndarray, shape (N, dim, n) with entry (j, i, s) = dPsi_j/dxi_i at xs[s].
     """
-    X = _points(basis, xs)
-    n, d = X.shape
-    N = basis.size
+    return _jacobian(basis, _monomials(basis, _points(basis, xs)))
+
+
+def _jacobian(basis, mono):
+    """Jacobians at the n points whose monomial table is mono; shape (N, dim, n)."""
+    N, n = mono.shape
+    d = basis.dim
     # d xi^alpha / d xi_i = alpha_i * xi^(alpha - e_i)
-    dmono = basis.exponent_matrix()[:, :, None] * _monomials(basis, X)[basis._parents]
+    dmono = basis.exponent_matrix()[:, :, None] * mono[basis._parents]
     return (basis.coeff_matrix @ dmono.reshape(N, d * n)).reshape(N, d, n)
 
 

@@ -9,6 +9,7 @@ seed, and rewrites byte-identical artifacts on rerun.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks
-from .basis import basis_from_json, basis_to_json, gram_schmidt
+from .basis import basis_from_dict, basis_to_dict, gram_schmidt
 from .collocation import (
     AdapterError,
     ModelAdapter,
@@ -28,7 +29,7 @@ from .collocation import (
     surrogate_from_json,
     surrogate_to_json,
 )
-from .distribution import mixture_from_json, raw_moments, sample
+from .distribution import mixture_from_json, mixture_to_json, raw_moments, sample
 from .rules import IncreasePhaseError, nodes_to_csv, rule_from_json, rule_to_json
 
 
@@ -48,6 +49,16 @@ def _float_csv(v):
     return repr(float(v))
 
 
+def _mixture_digest(gm):
+    """SHA-256 of the mixture's canonical JSON, which ties a basis file to it."""
+    return hashlib.sha256(mixture_to_json(gm).encode()).hexdigest()
+
+
+def _basis_document(basis, gm):
+    obj = {**basis_to_dict(basis), "mixture_sha256": _mixture_digest(gm)}
+    return json.dumps(obj, indent=2) + "\n"
+
+
 def cmd_basis(args):
     gm = _load_mixture(args.config)
     p = args.order
@@ -55,8 +66,8 @@ def cmd_basis(args):
     basis_2p = gram_schmidt(moments, gm.dim, 2 * p)
     basis_p = gram_schmidt(moments, gm.dim, p)
     out = Path(args.out)
-    _write(out / "basis_2p.json", basis_to_json(basis_2p))
-    _write(out / "basis_p.json", basis_to_json(basis_p))
+    _write(out / "basis_2p.json", _basis_document(basis_2p, gm))
+    _write(out / "basis_p.json", _basis_document(basis_p, gm))
     print(
         f"basis: dim={gm.dim} p={p} sizes {basis_p.size}/{basis_2p.size} "
         f"gram residuals {basis_p.gram_residual:.2e}/{basis_2p.gram_residual:.2e}",
@@ -66,14 +77,26 @@ def cmd_basis(args):
 
 
 def _stage_basis(path, gm, q):
-    """The order-q basis from path, as the basis stage wrote it, or built afresh."""
+    """The order-q basis from path, as the basis stage wrote it, or built afresh.
+
+    A file is used only if its dimension, order and mixture digest match.
+    """
     if not path.exists():
         return gram_schmidt(raw_moments(gm, 2 * q), gm.dim, q)
-    basis = basis_from_json(path.read_text())
+    obj = json.loads(path.read_text())
+    basis = basis_from_dict(obj)
     if (basis.dim, basis.order) != (gm.dim, q):
         raise ValueError(
             f"{path} holds a basis of dim {basis.dim} and order {basis.order}; "
             f"this run needs dim {gm.dim} and order {q}"
+        )
+    digest, expected = obj.get("mixture_sha256"), _mixture_digest(gm)
+    if digest is None:
+        raise ValueError(f"{path} has no mixture_sha256; rerun `mixquad basis` for this mixture")
+    if digest != expected:
+        raise ValueError(
+            f"{path} was written for another mixture (mixture_sha256 {digest}, "
+            f"this run's mixture has {expected}); rerun `mixquad basis`"
         )
     return basis
 

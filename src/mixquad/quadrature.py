@@ -23,7 +23,8 @@ from scipy.cluster.hierarchy import linkage
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import nnls
 
-from .basis import eval_basis_batch, eval_basis_jacobian_batch, gram_schmidt
+from .basis import _jacobian, _monomials, _points, gram_schmidt
+from .basis import eval_basis_batch, eval_basis_jacobian_batch
 from .distribution import raw_moments, sample
 # perfbench/child.py reads rule_to_json and rule_from_json from this module
 from .rules import IncreasePhaseError, QuadratureRule, rule_from_json, rule_to_json  # noqa: F401
@@ -118,10 +119,19 @@ def stacked_jacobian(basis, nodes, w):
     Shape (N, M * dim): column k * dim + i holds w_k * dPsi/dxi_i evaluated
     at node k, i.e. the blocks G_k = w_k * dPsi/dxi side by side.
     """
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    M, d = nodes.shape
-    jall = eval_basis_jacobian_batch(basis, nodes)  # (N, d, M)
-    return (jall * w[None, None, :]).transpose(0, 2, 1).reshape(basis.size, M * d)
+    return _stack_blocks(eval_basis_jacobian_batch(basis, nodes), w)
+
+
+def _stack_blocks(jall, w):
+    """The stacked Jacobian from per-node Jacobians jall of shape (N, dim, M)."""
+    N, d, M = jall.shape
+    return (jall * w[None, None, :]).transpose(0, 2, 1).reshape(N, M * d)
+
+
+def _evaluate(basis, nodes):
+    """Monomial table and Phi (bit for bit assemble_phi's) of a node set."""
+    mono = _monomials(basis, _points(basis, nodes))
+    return mono, basis.coeff_matrix @ mono
 
 
 def _damped_step(J, r, lam):
@@ -141,7 +151,7 @@ def _damped_step(J, r, lam):
     return -y if n <= N else -(J.T @ y)
 
 
-def gauss_newton_step(basis, nodes, w, r, lam, cfg):
+def gauss_newton_step(basis, nodes, w, r, lam, cfg, state=None):
     """One damped Gauss-Newton move of all nodes at fixed weights.
 
     The step solves min ||J d + r||^2 + lam ||d||^2 with J the stacked
@@ -151,24 +161,33 @@ def gauss_newton_step(basis, nodes, w, r, lam, cfg):
     line search leaves the nodes unchanged and raises the damping tenfold;
     success resets it to GN_DAMPING.
 
+    state is the (monomial table, Phi) pair of nodes, evaluated here when
+    not given. J is built from that table, and each line-search trial is
+    evaluated once; the pair of the accepted trial is handed back, so a
+    caller that passes it on evaluates every node set exactly once.
+
     Returns
     -------
-    (nodes, lam, improved)
+    (nodes, lam, improved, state) with state the pair of the returned nodes.
     """
     nodes = np.asarray(nodes, dtype=float)
+    if state is None:
+        state = _evaluate(basis, nodes)
     nrm = float(np.linalg.norm(r))
     try:
-        step = _damped_step(stacked_jacobian(basis, nodes, w), r, lam).reshape(nodes.shape)
+        J = _stack_blocks(_jacobian(basis, state[0]), w)
+        step = _damped_step(J, r, lam).reshape(nodes.shape)
     except LinAlgError:
-        return nodes, lam * 10.0, False
+        return nodes, lam * 10.0, False, state
     s = 1.0
     for _ in range(cfg.max_gn_backtracks):
         cand = nodes + s * step
-        _, nrm2 = residual(assemble_phi(basis, cand), w)
+        trial = _evaluate(basis, cand)
+        _, nrm2 = residual(trial[1], w)
         if nrm2 <= nrm:
-            return cand, GN_DAMPING, True
+            return cand, GN_DAMPING, True, trial
         s *= LINE_SEARCH_SHRINK
-    return nodes, lam * 10.0, False
+    return nodes, lam * 10.0, False, state
 
 
 def bcd_solve(basis, init_nodes, cfg):
@@ -181,11 +200,17 @@ def bcd_solve(basis, init_nodes, cfg):
     times in a row (the damping is then so large that further outer
     iterations cannot make progress).
 
+    Each node set is evaluated once: the monomial table and Phi of the
+    current nodes, carried from the line search that accepted them, serve
+    the weight solve and the next Jacobian, with the arithmetic (and so the
+    rule) of rebuilding them.
+
     Returns
     -------
     QuadratureRule with converged set accordingly.
     """
     nodes = np.atleast_2d(np.asarray(init_nodes, dtype=float))
+    state = _evaluate(basis, nodes)
     lam = GN_DAMPING
     hist = []
     stall = 0
@@ -193,7 +218,7 @@ def bcd_solve(basis, init_nodes, cfg):
     w = np.zeros(nodes.shape[0])
     nrm = 1.0
     for _ in range(cfg.max_outer_iters):
-        phi = assemble_phi(basis, nodes)
+        phi = state[1]
         w, solved = solve_weights(phi)
         r, nrm = residual(phi, w)
         hist.append(nrm)
@@ -202,15 +227,14 @@ def bcd_solve(basis, init_nodes, cfg):
         if nrm <= cfg.residual_tol:
             converged = True
             break
-        new_nodes, lam, improved = gauss_newton_step(basis, nodes, w, r, lam, cfg)
+        nodes, lam, improved, state = gauss_newton_step(basis, nodes, w, r, lam, cfg, state)
         stall = 0 if improved else stall + 1
-        nodes = new_nodes
         if stall >= STALL_LIMIT:
             break
     else:
         # outer budget exhausted after a node move: refresh weights so the
         # reported state is consistent with the final nodes
-        phi = assemble_phi(basis, nodes)
+        phi = state[1]
         w, solved = solve_weights(phi)
         _, nrm = residual(phi, w)
         hist.append(nrm)
@@ -233,16 +257,29 @@ def init_nodes(gm, M, cfg):
     complete-linkage agglomerative clustering on Euclidean distances, and
     returns the component-wise mean of each cluster, in the order of the
     clusters' smallest sample indices. Deterministic given cfg.seed.
+    adaptive_rule builds the same cloud and linkage once and cuts every
+    start of its increase phase from them with the same helper, so each of
+    its starts equals init_nodes at that M.
     """
     if M < 1:
         raise ValueError(f"need M >= 1 nodes, got {M}")
     count = cfg.candidate_count if cfg.candidate_count is not None else 10 * M
-    if M > count:
-        raise ValueError(f"M = {M} exceeds candidate_count = {count}")
     X = sample(gm, count, cfg.seed)
-    if M == count:
+    return _centroids(X, _linkage(X, M), M)
+
+
+def _linkage(X, M):
+    """Complete linkage of the cloud X, or None when M takes every sample."""
+    return linkage(X, method="complete") if M < len(X) else None
+
+
+def _centroids(X, Z, M):
+    """M start nodes from the cloud X and its linkage Z; see init_nodes."""
+    if M > len(X):
+        raise ValueError(f"M = {M} exceeds candidate_count = {len(X)}")
+    if M == len(X):
         return X.copy()
-    labels = _cut_labels(linkage(X, method="complete"), M)
+    labels = _cut_labels(Z, M)
     return np.array([X[labels == c].mean(axis=0) for c in range(M)])
 
 
@@ -267,11 +304,11 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
 
     Step 1 starts from M0 = ceil(N_2p / (d + 1)) clustered nodes, balancing
     unknown count M (d + 1) against the N_2p exactness equations. Step 2
-    multiplies M by INCREASE_FACTOR (fresh clustering of the same seeded
-    candidate cloud at the new M) until bcd_solve converges, aborting past
-    10 * N_2p nodes. Step 3 repeatedly deletes one node and re-solves
-    warm-started from the remaining nodes, accepting while the tolerance
-    holds. The deleted node is the lighter one of the closest pair when two
+    multiplies M by INCREASE_FACTOR until bcd_solve converges, aborting past
+    10 * N_2p nodes; the seeded candidate cloud and its linkage are built
+    once, and each start is a fresh cut of that linkage at the new M. Step 3
+    repeatedly deletes one node and re-solves warm-started from the
+    remaining nodes, accepting while the tolerance holds. The deleted node is the lighter one of the closest pair when two
     nodes coincide (Euclidean distance <= COINCIDENT_TOL), since the solve
     can split one node's weight over two near-duplicates; otherwise it is
     the minimum-weight node (ties: lowest index). Step 4, the
@@ -302,9 +339,10 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
     )
     cap = 10 * N2p
     M = ceil(N2p / (d + 1))
+    X = sample(gm, cfg.candidate_count, cfg.seed)
+    Z = _linkage(X, M)
     while True:
-        start = init_nodes(gm, M, cfg)
-        rule = bcd_solve(basis, start, cfg)
+        rule = bcd_solve(basis, _centroids(X, Z, M), cfg)
         if rule.converged:
             break
         M = ceil(INCREASE_FACTOR * M)

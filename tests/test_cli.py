@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline: artifacts, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -273,6 +274,45 @@ class TestBasisReuse:
         assert err.startswith("error:") and str(tmp_path / "basis_p.json") in err
         assert f"dim {gm.dim} and order {order};" in err
         assert not (tmp_path / "surrogate.json").exists()
+
+    def test_basis_file_of_another_mixture_is_rejected(self, tmp_path, capsys):
+        # gm4 with every mean moved by +1: same dim and order, other moments
+        gm = mq.benchmarks.builtin_mixture("gm4")
+        shifted = tmp_path / "shifted.json"
+        shifted.write_text(mq.mixture_to_json(
+            mq.GaussianMixture(gm.mix_weights, np.asarray(gm.means) + 1.0, gm.covariances)))
+        assert main(["basis", "--config", "builtin:gm4", "--order", "1",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        code = main(["quadrature", "--config", str(shifted), "--order", "1",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and str(tmp_path / "basis_2p.json") in err
+        assert "another mixture" in err
+        assert not (tmp_path / "rule.json").exists()
+
+    def test_basis_file_without_mixture_digest_is_rejected(self, gm4_p1, tmp_path, capsys):
+        # right dim, order and mixture, but not written by the basis stage
+        (tmp_path / "rule.json").write_bytes((gm4_p1 / "rule.json").read_bytes())
+        gm = mq.benchmarks.builtin_mixture("gm4")
+        basis = mq.gram_schmidt(mq.raw_moments(gm, 2), gm.dim, 1)
+        (tmp_path / "basis_p.json").write_text(mq.basis_to_json(basis))
+        code = main(["surrogate", "--config", "builtin:gm4", "--order", "1",
+                     "--out", str(tmp_path), "--model", "builtin:filter4"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and str(tmp_path / "basis_p.json") in err
+        assert "no mixture_sha256" in err
+        assert not (tmp_path / "surrogate.json").exists()
+
+    def test_basis_files_carry_the_mixture_digest(self, gm4_p1):
+        gm = mq.benchmarks.builtin_mixture("gm4")
+        digest = hashlib.sha256(mq.mixture_to_json(gm).encode()).hexdigest()
+        for name in ("basis_p.json", "basis_2p.json"):
+            obj = json.loads((gm4_p1 / name).read_text())
+            assert obj.pop("mixture_sha256") == digest
+            assert obj == mq.basis.basis_to_dict(mq.basis.basis_from_dict(obj))
 
     @pytest.mark.parametrize("stage", ["surrogate", "stats", "sample"])
     def test_stages_reading_artifacts_load_no_scipy(self, gm4_p1, tmp_path, stage):

@@ -11,7 +11,13 @@ from scipy.optimize import nnls
 
 import mixquad as mq
 from mixquad.benchmarks import builtin_mixture, gm4
-from mixquad.quadrature import GN_DAMPING, STALL_LIMIT, _cut_labels, _damped_step
+from mixquad.quadrature import (
+    GN_DAMPING,
+    LINE_SEARCH_SHRINK,
+    STALL_LIMIT,
+    _cut_labels,
+    _damped_step,
+)
 
 
 def gauss1d():
@@ -156,7 +162,7 @@ class TestGaussNewtonStep:
         nodes = np.array([[-1.0], [1.0]])
         w = np.array([0.5, 0.5])
         r = np.zeros(3)
-        out, lam, improved = mq.gauss_newton_step(hermite2, nodes, w, r, 1e-3, cfg)
+        out, lam, improved, _ = mq.gauss_newton_step(hermite2, nodes, w, r, 1e-3, cfg)
         assert improved
         assert lam == GN_DAMPING
         assert np.array_equal(out, nodes)
@@ -167,7 +173,7 @@ class TestGaussNewtonStep:
         w = np.array([0.55, 0.45, 0.0])
         phi = mq.assemble_phi(hermite2, nodes)
         r, _ = mq.residual(phi, w)
-        out, _, _ = mq.gauss_newton_step(hermite2, nodes, w, r, GN_DAMPING, cfg)
+        out, _, _, _ = mq.gauss_newton_step(hermite2, nodes, w, r, GN_DAMPING, cfg)
         assert abs(out[2, 0] - 3.0) <= 1e-12
 
     def test_iteration_drives_residual_to_stationary_point(self, hermite2):
@@ -179,7 +185,7 @@ class TestGaussNewtonStep:
             phi = mq.assemble_phi(hermite2, nodes)
             w, _ = mq.solve_weights(phi)
             r, nrm = mq.residual(phi, w)
-            nodes, lam, _ = mq.gauss_newton_step(hermite2, nodes, w, r, lam, cfg)
+            nodes, lam, _, _ = mq.gauss_newton_step(hermite2, nodes, w, r, lam, cfg)
         phi = mq.assemble_phi(hermite2, nodes)
         w, _ = mq.solve_weights(phi)
         _, nrm = mq.residual(phi, w)
@@ -192,7 +198,7 @@ class TestGaussNewtonStep:
         phi = mq.assemble_phi(hermite2, nodes)
         w, _ = mq.solve_weights(phi)
         r, _ = mq.residual(phi, w)
-        out, lam, improved = mq.gauss_newton_step(hermite2, nodes, w, r, 1e-6, cfg)
+        out, lam, improved, _ = mq.gauss_newton_step(hermite2, nodes, w, r, 1e-6, cfg)
         assert not improved
         assert np.array_equal(out, nodes)
         assert lam == pytest.approx(1e-5)
@@ -206,10 +212,28 @@ class TestGaussNewtonStep:
         phi = mq.assemble_phi(hermite2, nodes)
         w, _ = mq.solve_weights(phi)
         r, _ = mq.residual(phi, w)
-        out, lam, improved = mq.gauss_newton_step(hermite2, nodes, w, r, 1e-6, mq.SolverConfig())
+        out, lam, improved, _ = mq.gauss_newton_step(
+            hermite2, nodes, w, r, 1e-6, mq.SolverConfig()
+        )
         assert not improved
         assert np.array_equal(out, nodes)
         assert lam == pytest.approx(1e-5)
+
+    @pytest.mark.parametrize("backtracks", [20, 0])
+    def test_returned_state_is_the_evaluation_of_the_returned_nodes(self, hermite2, backtracks):
+        # accepted move (20 backtracks) and failed one (0): the pair handed
+        # back is the monomial table and Phi of the nodes handed back
+        nodes = np.array([[-0.9], [1.1]])
+        phi = mq.assemble_phi(hermite2, nodes)
+        w, _ = mq.solve_weights(phi)
+        r, _ = mq.residual(phi, w)
+        cfg = mq.SolverConfig(max_gn_backtracks=backtracks)
+        out, _, improved, (mono, phi_out) = mq.gauss_newton_step(
+            hermite2, nodes, w, r, GN_DAMPING, cfg
+        )
+        assert improved == (backtracks > 0)
+        assert np.array_equal(phi_out, mq.assemble_phi(hermite2, out))
+        assert np.array_equal(mono, out.T ** np.arange(3)[:, None])
 
     @pytest.mark.parametrize("N, n", [(12, 5), (12, 12), (5, 12)])
     def test_damped_step_matches_stacked_least_squares(self, N, n):
@@ -221,6 +245,51 @@ class TestGaussNewtonStep:
             A = np.vstack([J, np.sqrt(lam) * np.eye(n)])
             ref = np.linalg.lstsq(A, np.concatenate([-r, np.zeros(n)]), rcond=None)[0]
             assert_allclose(_damped_step(J, r, lam), ref, rtol=1e-10, atol=1e-12)
+
+
+def _reference_bcd(basis, start, cfg):
+    """bcd_solve with every node set evaluated afresh, as the solver first ran.
+
+    Phi is rebuilt by assemble_phi at the top of each outer iteration, and
+    the node move builds the stacked Jacobian and each line-search Phi from
+    the nodes, through the public functions.
+    """
+    nodes = np.atleast_2d(np.asarray(start, dtype=float))
+    lam, stall, hist, converged = GN_DAMPING, 0, [], False
+    for _ in range(cfg.max_outer_iters):
+        phi = mq.assemble_phi(basis, nodes)
+        w, solved = mq.solve_weights(phi)
+        r, nrm = mq.residual(phi, w)
+        hist.append(nrm)
+        if not solved:
+            break
+        if nrm <= cfg.residual_tol:
+            converged = True
+            break
+        improved = False
+        try:
+            step = _damped_step(mq.stacked_jacobian(basis, nodes, w), r, lam)
+        except LinAlgError:
+            step = None
+        s = 1.0
+        for _ in range(cfg.max_gn_backtracks if step is not None else 0):
+            cand = nodes + s * step.reshape(nodes.shape)
+            if mq.residual(mq.assemble_phi(basis, cand), w)[1] <= float(np.linalg.norm(r)):
+                nodes, lam, improved = cand, GN_DAMPING, True
+                break
+            s *= LINE_SEARCH_SHRINK
+        if not improved:
+            lam *= 10.0
+        stall = 0 if improved else stall + 1
+        if stall >= STALL_LIMIT:
+            break
+    else:
+        phi = mq.assemble_phi(basis, nodes)
+        w, solved = mq.solve_weights(phi)
+        _, nrm = mq.residual(phi, w)
+        hist.append(nrm)
+        converged = solved and nrm <= cfg.residual_tol
+    return nodes, w, nrm, tuple(hist), converged
 
 
 class TestBcdSolve:
@@ -279,6 +348,51 @@ class TestBcdSolve:
         # the final weight refresh may add one entry past the outer budget
         assert len(rule.history) <= cfg.max_outer_iters + 1
 
+
+    @pytest.mark.parametrize("limits", [{}, {"max_outer_iters": 5}, {"max_gn_backtracks": 0}],
+                             ids=["default", "budget", "stall"])
+    def test_carried_node_sets_give_the_rule_of_fresh_evaluation(self, limits):
+        # converged, budget-exhausted and stalled exits of bcd_solve, bit for bit
+        corr = corr2d()
+        cases = [(basis_for(corr, q), mq.init_nodes(corr, M, mq.SolverConfig(seed=3)))
+                 for q in (2, 4) for M in (4, 6, 9)]
+        g4 = gm4()
+        cases.append((basis_for(g4, 4), mq.init_nodes(g4, 21, mq.SolverConfig(candidate_count=700))))
+        for basis, start in cases:
+            cfg = mq.SolverConfig(seed=3, **limits)
+            rule = mq.bcd_solve(basis, start, cfg)
+            nodes, w, nrm, hist, converged = _reference_bcd(basis, start, cfg)
+            assert np.array_equal(rule.nodes, nodes)
+            assert np.array_equal(rule.weights, w)
+            assert rule.history == hist
+            assert rule.residual_norm == nrm and rule.converged == converged
+
+    def test_each_node_set_gets_one_monomial_table(self, monkeypatch):
+        # one table for the start and one per line-search trial; no table
+        # for the outer iterations' Phi or the Jacobians
+        import mixquad.basis
+        import mixquad.quadrature
+
+        tables, residuals = [], []
+        monomials, residual = mixquad.basis._monomials, mixquad.quadrature.residual
+
+        def counting_monomials(basis, X):
+            tables.append(X.copy())
+            return monomials(basis, X)
+
+        def counting_residual(phi, w):
+            residuals.append(None)
+            return residual(phi, w)
+
+        monkeypatch.setattr("mixquad.basis._monomials", counting_monomials)
+        monkeypatch.setattr("mixquad.quadrature._monomials", counting_monomials, raising=False)
+        monkeypatch.setattr("mixquad.quadrature.residual", counting_residual)
+        gm = corr2d()
+        cfg = mq.SolverConfig(seed=3)
+        rule = mq.bcd_solve(basis_for(gm, 2), mq.init_nodes(gm, 4, cfg), cfg)
+        trials = len(residuals) - len(rule.history)
+        assert trials > 0
+        assert len(tables) == 1 + trials
 
     def test_unconverged_weight_solve_stops_the_solve(self, hermite2, monkeypatch):
         # all-zero weights make every node move a zero step that counts as an
@@ -441,6 +555,33 @@ class TestAdaptiveRule:
             mq.adaptive_rule(basis, gm, cfg)
         assert info.value.M > info.value.cap
         assert info.value.cap == 10 * basis.size
+
+    def test_one_linkage_cut_for_every_increase_phase_start(self, monkeypatch):
+        import mixquad.quadrature
+
+        gm = gm4()
+        basis = basis_for(gm, 4)
+        cfg = mq.SolverConfig(seed=0)
+        links, starts, accepted = [], [], []
+        link, solve = mixquad.quadrature.linkage, mixquad.quadrature.bcd_solve
+
+        def counting_linkage(X, method):
+            links.append(len(X))
+            return link(X, method=method)
+
+        def recording_solve(basis, nodes, cfg):
+            if not accepted:
+                starts.append(np.array(nodes))
+            return solve(basis, nodes, cfg)
+
+        monkeypatch.setattr("mixquad.quadrature.linkage", counting_linkage)
+        monkeypatch.setattr("mixquad.quadrature.bcd_solve", recording_solve)
+        mq.adaptive_rule(basis, gm, cfg, on_accept=accepted.append)
+        assert links == [10 * basis.size]
+        assert [len(x) for x in starts] == [14, 21]
+        full = replace(cfg, candidate_count=10 * basis.size)
+        for x in starts:
+            assert np.array_equal(x, mq.init_nodes(gm, len(x), full))
 
     def test_deterministic_given_seed(self):
         gm = corr2d()
