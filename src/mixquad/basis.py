@@ -10,9 +10,14 @@ monomial's parent alpha - e_i from a second such table, so all Jacobians come
 from one matrix product.
 """
 
+import ctypes
+import importlib.util
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from math import comb
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +41,11 @@ DEGENERACY_TOL = 1e-12
 
 # Achieved orthonormality residual a constructed basis must satisfy.
 ORTHONORMALITY_TOL = 1e-8
+
+# Points per block of the batch evaluators: small enough that the allocator
+# reuses the per-grade temporaries of the monomial table instead of faulting
+# in fresh pages for every block. Outputs do not depend on the block size.
+EVAL_CHUNK = 2048
 
 
 class DegenerateBasisError(ValueError):
@@ -132,17 +142,14 @@ class OrthoBasis:
         E = np.array([mi.exponents for mi in self.indices], dtype=int)
         E.flags.writeable = False
         object.__setattr__(self, "_exponents", E)
-        # parent[a, i] indexes alpha_a - e_i; rows with alpha_a,i = 0 point
-        # at a itself, which the derivative multiplies by alpha_a,i = 0
-        unit = np.eye(self.dim, dtype=int)
-        parent = np.stack(
-            [_graded_lex_rank(_tails(np.maximum(E - unit[i], 0))) for i in range(self.dim)],
-            axis=1,
-        )
+        # rows with alpha_a,i = 0 point at a itself, which the derivative
+        # multiplies by alpha_a,i = 0
+        parent = _parent_table(E)
         parent.flags.writeable = False
         object.__setattr__(self, "_parents", parent)
         # prefix[a] = (rank of alpha_a with its last nonzero coordinate j set
         # to 0, row of x_j ** alpha_a,j in the flattened power table)
+        unit = np.eye(self.dim, dtype=int)
         j = self.dim - 1 - np.argmax(E[:, ::-1] > 0, axis=1)
         e = E[np.arange(len(E)), j]
         prefix = np.stack(
@@ -179,6 +186,14 @@ def _graded_lex_rank(T):
     return sum(binom[t + d - j - 1, d - j] for j, t in enumerate(T))
 
 
+def _parent_table(E):
+    """parent[a, i] = rank of alpha_a - e_i, or of alpha_a where alpha_a,i = 0; shape (n, d)."""
+    unit = np.eye(E.shape[1], dtype=int)
+    return np.stack(
+        [_graded_lex_rank(_tails(np.maximum(E - unit[i], 0))) for i in range(E.shape[1])], axis=1
+    )
+
+
 def _moment_gram(moments, E):
     """Gram matrix of monomials, G[a,b] = E[xi^(alpha_a + alpha_b)]."""
     d = E.shape[1]
@@ -190,6 +205,54 @@ def _moment_gram(moments, E):
     return flat[_graded_lex_rank(T[:, :, None] + T[:, None, :])]
 
 
+@cache
+def _blas_thread_controls():
+    """(get, set) thread-count functions of the OpenBLAS copies numpy and scipy bundle.
+
+    numpy's wheel ships scipy_openblas64_ (symbol suffix 64_), which runs
+    the GEMMs; scipy's ships scipy_openblas, which runs LAPACK and nnls.
+    A library without these symbols (another BLAS) contributes nothing.
+    """
+    controls = []
+    for package, suffix in (("numpy", "64_"), ("scipy", "")):
+        spec = importlib.util.find_spec(package)
+        if spec is None:
+            continue
+        libs = Path(spec.origin).parent.with_name(package + ".libs")
+        for path in sorted(libs.glob("libscipy_openblas*")):
+            lib = ctypes.CDLL(str(path))
+            try:
+                get = lib["scipy_openblas_get_num_threads" + suffix]
+                set_ = lib["scipy_openblas_set_num_threads" + suffix]
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every bundled OpenBLAS at one thread, then restore.
+
+    For the basis constructor and the quadrature solver: their matrices are
+    small enough that thread hand-off costs more than the arithmetic, and
+    the thread count changes the last bits of a product and with them the
+    basis and the rule; pinned, both are the same at any setting.
+    """
+    controls = _blas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(controls, saved):
+            set_(n)
+
+
+@_one_blas_thread()
 def gram_schmidt(moments, d, q):
     """Build the orthonormal basis of total order q from exact moments.
 
@@ -197,6 +260,8 @@ def gram_schmidt(moments, d, q):
     off the moment table and factored once, G = L L^T; then Psi = L^{-1} p
     is the Gram-Schmidt orthonormalization of p, and the pivot L[j,j]^2 is
     E[psi_hat_j^2], the squared norm of p_j minus its projection on p_0..p_{j-1}.
+    The bundled OpenBLAS runs at one thread meanwhile (_one_blas_thread), so
+    the basis does not depend on the thread count.
 
     Parameters
     ----------
@@ -283,7 +348,7 @@ def _monomials(basis, X):
 
 
 def eval_basis_batch(basis, xs):
-    """Evaluate all basis functions at many points.
+    """Evaluate all basis functions at many points, EVAL_CHUNK points at a time.
 
     Parameters
     ----------
@@ -293,7 +358,14 @@ def eval_basis_batch(basis, xs):
     -------
     ndarray, shape (n, N) with entry (s, j) = Psi_j(xs[s]).
     """
-    return (basis.coeff_matrix @ _monomials(basis, _points(basis, xs))).T
+    X = _points(basis, xs)
+    if len(X) <= EVAL_CHUNK:
+        return (basis.coeff_matrix @ _monomials(basis, X)).T
+    out = np.empty((basis.size, len(X)))
+    for lo in range(0, len(X), EVAL_CHUNK):
+        mono = _monomials(basis, X[lo : lo + EVAL_CHUNK])
+        out[:, lo : lo + EVAL_CHUNK] = basis.coeff_matrix @ mono
+    return out.T
 
 
 def eval_basis(basis, x):
@@ -304,11 +376,18 @@ def eval_basis(basis, x):
 def eval_basis_jacobian_batch(basis, xs):
     """Jacobians of all basis functions at many points.
 
+    Evaluated EVAL_CHUNK points at a time.
+
     Returns
     -------
     ndarray, shape (N, dim, n) with entry (j, i, s) = dPsi_j/dxi_i at xs[s].
     """
-    return _jacobian(basis, _monomials(basis, _points(basis, xs)))
+    X = _points(basis, xs)
+    out = np.empty((basis.size, basis.dim, len(X)))
+    for lo in range(0, len(X), EVAL_CHUNK):
+        mono = _monomials(basis, X[lo : lo + EVAL_CHUNK])
+        out[:, :, lo : lo + EVAL_CHUNK] = _jacobian(basis, mono)
+    return out
 
 
 def _jacobian(basis, mono):
@@ -316,7 +395,8 @@ def _jacobian(basis, mono):
     N, n = mono.shape
     d = basis.dim
     # d xi^alpha / d xi_i = alpha_i * xi^(alpha - e_i)
-    dmono = basis.exponent_matrix()[:, :, None] * mono[basis._parents]
+    dmono = np.take(mono, basis._parents, axis=0)
+    dmono *= basis.exponent_matrix()[:, :, None]
     return (basis.coeff_matrix @ dmono.reshape(N, d * n)).reshape(N, d, n)
 
 

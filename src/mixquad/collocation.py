@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import benchmarks
-from .basis import basis_from_dict, basis_to_dict, eval_basis, eval_basis_batch
+from .basis import EVAL_CHUNK, basis_from_dict, basis_to_dict, eval_basis, eval_basis_batch
 from .distribution import sample
 from .rules import nodes_to_csv
 
@@ -37,12 +37,6 @@ __all__ = [
     "values_to_csv",
     "values_from_csv",
 ]
-
-# surrogate evaluation over large Monte Carlo batches works on cache-sized
-# blocks of points, small enough that the allocator reuses the per-grade
-# temporaries of the monomial table instead of faulting in fresh pages for
-# every block
-EVAL_CHUNK = 2048
 
 
 class AdapterError(RuntimeError):
@@ -179,7 +173,11 @@ def evaluate(s, x):
 
 
 def evaluate_batch(s, xs):
-    """Vectorized surrogate evaluation, chunked for large batches."""
+    """Vectorized surrogate evaluation, one product per EVAL_CHUNK points.
+
+    The product with the coefficients stays per block: over the whole batch,
+    a threaded BLAS splits it at other rows, which moves the last bits.
+    """
     X = np.atleast_2d(np.asarray(xs, dtype=float))
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], EVAL_CHUNK):

@@ -9,10 +9,11 @@ reference statistics).
 
 import json
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .basis import enumerate_indices
+from .basis import _parent_table, enumerate_indices
 
 __all__ = [
     "GaussianMixture",
@@ -176,57 +177,70 @@ def density(gm, x):
     return float(total)
 
 
-def _gaussian_moments(mu, cov, max_order, component, index_list):
+def _gaussian_moments(mu, cov, E, parent, component):
     """Raw moments of one Gaussian component by exact recursion.
 
-    m(gamma + e_i) = mu_i m(gamma) + sum_j Sigma_ij gamma_j m(gamma - e_j),
-    with m(0) = 1; visiting indices in graded order guarantees every parent
-    is already present.
+    m(gamma) = mu_i m(beta) + sum_j Sigma_ij beta_j m(beta - e_j), with
+    beta = gamma - e_i for the first nonzero coordinate i of gamma and
+    m(0) = 1. E holds the exponents in graded-lex order and parent their
+    lowered ranks (basis._parent_table); the result is in the same order.
+    Each grade is formed at once from the grade below, with the multiplies
+    and adds of the one-entry-at-a-time recursion in the same order; a term
+    with beta_j = 0 is skipped, not added as 0.0, so the sign of a zero
+    moment is kept.
     """
-    d = len(mu)
-    m = {(0,) * d: 1.0}
-    # overflow is detected per entry and reported with the offending index
+    n, d = E.shape
+    first = np.argmax(E > 0, axis=1)
+    m = np.empty(n)
+    m[0] = 1.0
+    lo, t = 1, 1
+    # overflow is detected per grade and reported with the first offending index
     with np.errstate(over="ignore", invalid="ignore"):
-        for mi in index_list[1:]:
-            g = mi.exponents
-            i = next(j for j in range(d) if g[j] > 0)
-            base = list(g)
-            base[i] -= 1
-            val = mu[i] * m[tuple(base)]
+        while lo < n:
+            hi = comb(d + t, d)
+            i = first[lo:hi]
+            b = parent[np.arange(lo, hi), i]
+            val = mu[i] * m[b]
             for j in range(d):
-                if base[j] > 0:
-                    b2 = list(base)
-                    b2[j] -= 1
-                    val += cov[i, j] * base[j] * m[tuple(b2)]
-            if not np.isfinite(val):
-                raise MomentOverflowError(g, component)
-            m[tuple(g)] = val
+                bj = E[b, j]
+                val = np.where(bj > 0, val + cov[i, j] * bj * m[parent[b, j]], val)
+            bad = np.flatnonzero(~np.isfinite(val))
+            if bad.size:
+                raise MomentOverflowError(E[lo + bad[0]].tolist(), component)
+            m[lo:hi] = val
+            lo, t = hi, t + 1
     return m
 
 
 def raw_moments(gm, max_order):
     """Exact raw moments of the mixture up to total order max_order.
 
-    The mixture moment is the weighted sum of per-component Gaussian moments.
-    Callers building a basis of order 2p need moments to order 4p (the
-    Gram matrix pairs two order-2p monomials).
+    The mixture moment is the weighted sum of per-component Gaussian moments,
+    summed over components in order. Each component's table is computed one
+    grade at a time (see _gaussian_moments). Callers building a basis of
+    order 2p need moments to order 4p (the Gram matrix pairs two order-2p
+    monomials).
 
     Returns
     -------
     MomentTable
+
+    Raises
+    ------
+    MomentOverflowError
+        At the first multi-index, in graded-lex order, of the first component
+        whose moment leaves the finite float range.
     """
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
-    index_list = enumerate_indices(gm.dim, max_order)
-    tables = [
-        _gaussian_moments(gm.means[k], gm.covariances[k], max_order, k, index_list)
-        for k in range(gm.n_components)
-    ]
-    w = gm.mix_weights
-    values = {}
-    for mi in index_list:
-        g = mi.exponents
-        values[g] = float(sum(w[k] * tables[k][g] for k in range(gm.n_components)))
+    keys = [mi.exponents for mi in enumerate_indices(gm.dim, max_order)]
+    E = np.array(keys)
+    parent = _parent_table(E)
+    total = np.zeros(len(keys))
+    for k in range(gm.n_components):
+        m = _gaussian_moments(gm.means[k], gm.covariances[k], E, parent, k)
+        total = total + gm.mix_weights[k] * m
+    values = dict(zip(keys, total.tolist()))
     values[(0,) * gm.dim] = 1.0
     return MomentTable(max_order=max_order, values=values)
 

@@ -20,10 +20,11 @@ from math import ceil, comb
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import nnls
 
-from .basis import _jacobian, _monomials, _points, gram_schmidt
+from .basis import _jacobian, _monomials, _one_blas_thread, _points, gram_schmidt
 from .basis import eval_basis_batch, eval_basis_jacobian_batch
 from .distribution import raw_moments, sample
 # perfbench/child.py reads rule_to_json and rule_from_json from this module
@@ -125,7 +126,9 @@ def stacked_jacobian(basis, nodes, w):
 def _stack_blocks(jall, w):
     """The stacked Jacobian from per-node Jacobians jall of shape (N, dim, M)."""
     N, d, M = jall.shape
-    return (jall * w[None, None, :]).transpose(0, 2, 1).reshape(N, M * d)
+    J = jall.transpose(0, 2, 1).reshape(N, M * d)
+    J.reshape(N, M, d)[...] *= w[None, :, None]
+    return J
 
 
 def _evaluate(basis, nodes):
@@ -134,20 +137,55 @@ def _evaluate(basis, nodes):
     return mono, basis.coeff_matrix @ mono
 
 
+def _certified_worse(basis, mono, w, nrm):
+    """True only if the line search's exact check on this trial would fail.
+
+    The exact check forms Phi = C @ mono, an N x N by N x M product, and
+    accepts when ||Phi w - e1|| <= nrm. The screen forms r~ = C (mono w) - e1
+    by two matrix-vector products instead. For w >= 0 both evaluation orders
+    lie elementwise within about (N + M) u |C| (|mono| w) of the exact C mono w
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, Sec. 3.5),
+    so beta = gamma (|| |C| (|mono| w) || + 1) bounds the distance of the two
+    computed residuals, the 1 covering the e1 subtraction; gamma = (N + M + 4)
+    eps also covers the rounding of the norms. A trial is rejected here only
+    when ||r~|| (1 - gamma) - beta > nrm (1 + gamma); a screen that is not
+    finite certifies nothing.
+    """
+    C = basis.coeff_matrix
+    N, M = mono.shape
+    gamma = (N + M + 4) * np.finfo(float).eps
+    limit = nrm * (1.0 + gamma)
+    r = C @ (mono @ w)
+    r[0] -= 1.0
+    low = np.linalg.norm(r) * (1.0 - gamma)
+    if not low > limit:
+        return False
+    low -= gamma * (np.linalg.norm(np.abs(C) @ (np.abs(mono) @ w)) + 1.0)
+    return bool(np.isfinite(low) and low > limit)
+
+
 def _damped_step(J, r, lam):
     """argmin_d ||J d + r||^2 + lam ||d||^2 by Cholesky of the smaller normal matrix.
 
     With J of shape (N, n): for n <= N solve (J^T J + lam I) d = -J^T r,
-    otherwise (J J^T + lam I) y = r and d = -J^T y. Raises LinAlgError when
-    the damped matrix is not numerically positive definite.
+    otherwise (J J^T + lam I) y = r and d = -J^T y. LAPACK dpotrf and dpotrs
+    (upper triangle, the routines and triangle of scipy's cho_factor and
+    cho_solve) work in place on the normal matrix: numpy forms it by syrk
+    and mirrors one triangle into the other, so it is exactly symmetric, its
+    transpose is the same matrix in Fortran order and no copy is made.
+    Raises LinAlgError when the damped matrix is not numerically positive
+    definite.
     """
     N, n = J.shape
     if n <= N:
         A, rhs = J.T @ J, J.T @ r
     else:
         A, rhs = J @ J.T, r
-    A[np.diag_indices_from(A)] += lam
-    y = cho_solve(cho_factor(A, check_finite=False), rhs, check_finite=False)
+    A.reshape(-1)[:: len(A) + 1] += lam
+    U, info = dpotrf(A.T, lower=0, clean=0, overwrite_a=1)
+    if info > 0:
+        raise LinAlgError(f"leading minor {info} of the damped matrix is not positive definite")
+    y, _ = dpotrs(U, rhs, lower=0)
     return -y if n <= N else -(J.T @ y)
 
 
@@ -155,16 +193,19 @@ def gauss_newton_step(basis, nodes, w, r, lam, cfg, state=None):
     """One damped Gauss-Newton move of all nodes at fixed weights.
 
     The step solves min ||J d + r||^2 + lam ||d||^2 with J the stacked
-    Jacobian, by a Cholesky factorization of J^T J + lam I or J J^T + lam I,
-    whichever is smaller, and is halved up to cfg.max_gn_backtracks times
-    until the new residual does not exceed ||r||. A failed factorization or
-    line search leaves the nodes unchanged and raises the damping tenfold;
-    success resets it to GN_DAMPING.
+    Jacobian, by a LAPACK Cholesky factorization of J^T J + lam I or
+    J J^T + lam I, whichever is smaller (_damped_step), and is halved up to
+    cfg.max_gn_backtracks times until the new residual does not exceed ||r||.
+    A failed factorization or line search leaves the nodes unchanged and
+    raises the damping tenfold; success resets it to GN_DAMPING.
 
     state is the (monomial table, Phi) pair of nodes, evaluated here when
-    not given. J is built from that table, and each line-search trial is
-    evaluated once; the pair of the accepted trial is handed back, so a
-    caller that passes it on evaluates every node set exactly once.
+    not given. J is built from that table. Each line-search trial gets one
+    monomial table; a trial whose residual provably exceeds ||r|| is
+    rejected from two matrix-vector products (_certified_worse), and every
+    other trial forms Phi and makes the exact check, so the outcome is the
+    one the exact check alone gives. The pair of the accepted trial is handed
+    back, so a caller that passes it on evaluates every node set once.
 
     Returns
     -------
@@ -182,14 +223,16 @@ def gauss_newton_step(basis, nodes, w, r, lam, cfg, state=None):
     s = 1.0
     for _ in range(cfg.max_gn_backtracks):
         cand = nodes + s * step
-        trial = _evaluate(basis, cand)
-        _, nrm2 = residual(trial[1], w)
-        if nrm2 <= nrm:
-            return cand, GN_DAMPING, True, trial
+        mono = _monomials(basis, cand)
+        if not _certified_worse(basis, mono, w, nrm):
+            trial = mono, basis.coeff_matrix @ mono
+            if residual(trial[1], w)[1] <= nrm:
+                return cand, GN_DAMPING, True, trial
         s *= LINE_SEARCH_SHRINK
     return nodes, lam * 10.0, False, state
 
 
+@_one_blas_thread()
 def bcd_solve(basis, init_nodes, cfg):
     """Block coordinate descent from a fixed set of starting nodes.
 
@@ -203,7 +246,8 @@ def bcd_solve(basis, init_nodes, cfg):
     Each node set is evaluated once: the monomial table and Phi of the
     current nodes, carried from the line search that accepted them, serve
     the weight solve and the next Jacobian, with the arithmetic (and so the
-    rule) of rebuilding them.
+    rule) of rebuilding them. The solve runs with the bundled OpenBLAS at one
+    thread (basis._one_blas_thread).
 
     Returns
     -------
@@ -299,6 +343,7 @@ def _cut_labels(Z, M):
     return np.searchsorted(np.sort(first), first)[root]
 
 
+@_one_blas_thread()
 def adaptive_rule(basis, gm, cfg, on_accept=None):
     """Full node-count adaptation: init, increase until converged, prune, polish.
 
@@ -308,10 +353,11 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
     10 * N_2p nodes; the seeded candidate cloud and its linkage are built
     once, and each start is a fresh cut of that linkage at the new M. Step 3
     repeatedly deletes one node and re-solves warm-started from the
-    remaining nodes, accepting while the tolerance holds. The deleted node is the lighter one of the closest pair when two
-    nodes coincide (Euclidean distance <= COINCIDENT_TOL), since the solve
-    can split one node's weight over two near-duplicates; otherwise it is
-    the minimum-weight node (ties: lowest index). Step 4, the
+    remaining nodes, accepting while the tolerance holds. The deleted node
+    is the lighter one of the closest pair when two nodes coincide
+    (Euclidean distance <= COINCIDENT_TOL), since the solve can split one
+    node's weight over two near-duplicates; otherwise it is the
+    minimum-weight node (ties: lowest index). Step 4, the
     maximal-exactness polish, runs one more bcd_solve from the accepted
     nodes on the basis one order higher (order 2p + 1, built from the
     mixture's exact moments). Its result replaces the accepted rule only if
@@ -319,7 +365,8 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
     otherwise the accepted rule is returned unchanged. The polish never
     changes M, and it is attempted only when M (d + 1) >= N_{2p+1}: with
     fewer unknowns than equations an exact rule does not exist in general.
-    For d = 1 it selects the Gauss rule.
+    For d = 1 it selects the Gauss rule. The whole call, like bcd_solve,
+    runs with the bundled OpenBLAS at one thread (basis._one_blas_thread).
 
     on_accept, when given, is called with every accepted (converged) rule in
     order, which exposes the decrease-phase trajectory for verification. It

@@ -9,7 +9,13 @@ from numpy.testing import assert_allclose
 
 import mixquad as mq
 from mixquad import benchmarks
-from mixquad.basis import _moment_gram, _monomials
+from mixquad.basis import (
+    _blas_thread_controls,
+    _jacobian,
+    _moment_gram,
+    _monomials,
+    _one_blas_thread,
+)
 from mixquad.collocation import EVAL_CHUNK
 
 
@@ -240,6 +246,35 @@ class TestEvalBasis:
                                 power = power * X[:, i]
                             ref = ref * power
                     assert np.array_equal(mono[a], ref), (q, n, tuple(alpha))
+
+    def test_blocks_cover_every_point(self):
+        # EVAL_CHUNK points per block, with a short last block; one product
+        # over all points agrees (OpenBLAS gives the same bits, but BLAS
+        # does not promise it across shapes)
+        gm = benchmarks.gm4()
+        basis = mq.gram_schmidt(mq.raw_moments(gm, 4), gm.dim, 2)
+        X = mq.sample(gm, 2 * EVAL_CHUNK + 3, seed=5)
+        mono = _monomials(basis, X)
+        vals = mq.eval_basis_batch(basis, X)
+        assert_allclose(vals, (basis.coeff_matrix @ mono).T, rtol=1e-14, atol=1e-14)
+        J = mq.eval_basis_jacobian_batch(basis, X)
+        assert_allclose(J, _jacobian(basis, mono), rtol=1e-14, atol=1e-14)
+
+
+class TestOneBlasThread:
+    def test_pins_every_bundled_openblas_and_restores_it(self):
+        controls = _blas_thread_controls()
+        before = [get() for get, _ in controls]
+        try:
+            for _, set_ in controls:
+                set_(2)
+            with pytest.raises(RuntimeError), _one_blas_thread():
+                assert [get() for get, _ in controls] == [1] * len(controls)
+                raise RuntimeError("restored on the way out")
+            assert [get() for get, _ in controls] == [2] * len(controls)
+        finally:
+            for (_, set_), n in zip(controls, before):
+                set_(n)
 
 
 class TestEvalBasisJacobian:

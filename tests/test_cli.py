@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from math import sqrt
@@ -14,11 +15,12 @@ import mixquad as mq
 from mixquad.cli import main
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "mixquad", *map(str, args)],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -153,6 +155,18 @@ class TestQuadratureCommand:
                 tuple((tmp_path / n).read_bytes() for n in ("rule.json", "nodes.csv"))
             )
         assert blobs[0] == blobs[1]
+
+    def test_rule_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # gm6 at p=2 takes another path, to 36 nodes, when its basis or its
+        # solve runs on two OpenBLAS threads
+        rules = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            out = tmp_path / threads
+            res = run_cli("quadrature", "--config", "builtin:gm6", "--out", out, env=env)
+            assert res.returncode == 0, res.stderr
+            rules.append((out / "rule.json").read_bytes())
+        assert rules[0] == rules[1]
 
 
 class TestSurrogateCommand:

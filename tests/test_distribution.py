@@ -10,6 +10,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.testing import assert_allclose
 
 import mixquad as mq
+from mixquad.benchmarks import builtin_mixture
 
 
 def gauss1d():
@@ -30,6 +31,42 @@ def corr2d():
             [[0.49, -0.28], [-0.28, 1.0]],
         ],
     )
+
+
+def _reference_raw_moments(gm, max_order):
+    """The moment recursion one multi-index at a time, as raw_moments first ran.
+
+    Returns the values dict, or the (gamma, component) of the first overflow.
+    """
+    index_list = mq.enumerate_indices(gm.dim, max_order)
+    d = gm.dim
+    tables = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(gm.n_components):
+            mu, cov = gm.means[k], gm.covariances[k]
+            m = {(0,) * d: 1.0}
+            for mi in index_list[1:]:
+                g = mi.exponents
+                i = next(j for j in range(d) if g[j] > 0)
+                base = list(g)
+                base[i] -= 1
+                val = mu[i] * m[tuple(base)]
+                for j in range(d):
+                    if base[j] > 0:
+                        b2 = list(base)
+                        b2[j] -= 1
+                        val += cov[i, j] * base[j] * m[tuple(b2)]
+                if not np.isfinite(val):
+                    return g, k
+                m[tuple(g)] = val
+            tables.append(m)
+    w = gm.mix_weights
+    values = {}
+    for mi in index_list:
+        g = mi.exponents
+        values[g] = float(sum(w[k] * tables[k][g] for k in range(gm.n_components)))
+    values[(0,) * d] = 1.0
+    return values
 
 
 class TestGaussianMixtureValidation:
@@ -264,6 +301,37 @@ class TestRawMoments:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             mq.raw_moments(gauss1d(), -1)
+
+    @pytest.mark.parametrize("name", ["gm4", "gm6", "corr2d", "gauss1d", "two_point_1d"])
+    def test_grade_at_once_recursion_is_bit_identical(self, name):
+        gm = {"corr2d": corr2d, "gauss1d": gauss1d, "two_point_1d": two_point_1d}.get(
+            name, lambda: builtin_mixture(name)
+        )()
+        for order in (0, 1, 8):
+            got = mq.raw_moments(gm, order).values
+            ref = _reference_raw_moments(gm, order)
+            assert list(got) == list(ref)
+            # bytes, so that -0.0 and 0.0 differ
+            assert np.array(list(got.values())).tobytes() == np.array(list(ref.values())).tobytes()
+
+    @pytest.mark.parametrize(
+        "scales",
+        [(1e250,), (1e250, 1.0), (1.0, 1e250), (1e120, 1e250)],
+        ids=["one", "first", "second", "both"],
+    )
+    def test_overflow_names_the_gamma_and_component_of_the_recursion(self, scales):
+        # with two components the first to overflow in component order is
+        # named, even where a later component overflows at a lower order
+        K = len(scales)
+        cov = np.array([[1.0, 0.3], [0.3, 0.5]])
+        gm = mq.GaussianMixture(
+            [1.0 / K] * K, [[0.2 * k, -0.1] for k in range(K)], [s * cov for s in scales]
+        )
+        gamma, component = _reference_raw_moments(gm, 16)
+        with pytest.raises(mq.MomentOverflowError) as info:
+            mq.raw_moments(gm, 16)
+        assert info.value.gamma == gamma and info.value.component == component
+        assert str(info.value) == str(mq.MomentOverflowError(gamma, component))
 
 
 class TestMixtureJson:

@@ -1,20 +1,23 @@
 """Weight solve, node moves, block coordinate descent, and node-count adaptation."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.cluster.hierarchy import cut_tree, linkage
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import nnls
 
 import mixquad as mq
+from mixquad.basis import _monomials
 from mixquad.benchmarks import builtin_mixture, gm4
 from mixquad.quadrature import (
     GN_DAMPING,
     LINE_SEARCH_SHRINK,
     STALL_LIMIT,
+    _certified_worse,
     _cut_labels,
     _damped_step,
 )
@@ -204,10 +207,10 @@ class TestGaussNewtonStep:
         assert lam == pytest.approx(1e-5)
 
     def test_failed_factorization_keeps_nodes_and_raises_damping(self, hermite2, monkeypatch):
-        def not_positive_definite(A, **kwargs):
-            raise LinAlgError("leading minor not positive definite")
+        def not_positive_definite(a, **kwargs):
+            return a, 1  # LAPACK info > 0: leading minor 1 not positive definite
 
-        monkeypatch.setattr("mixquad.quadrature.cho_factor", not_positive_definite)
+        monkeypatch.setattr("mixquad.quadrature.dpotrf", not_positive_definite)
         nodes = np.array([[-0.9], [1.1]])
         phi = mq.assemble_phi(hermite2, nodes)
         w, _ = mq.solve_weights(phi)
@@ -245,6 +248,65 @@ class TestGaussNewtonStep:
             A = np.vstack([J, np.sqrt(lam) * np.eye(n)])
             ref = np.linalg.lstsq(A, np.concatenate([-r, np.zeros(n)]), rcond=None)[0]
             assert_allclose(_damped_step(J, r, lam), ref, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("N, n", [(12, 5), (12, 12), (5, 12), (210, 105), (70, 144)])
+    def test_damped_step_is_the_cho_solve_step_bit_for_bit(self, N, n):
+        # the step scipy's cho_factor / cho_solve give on a copy of the matrix
+        rng = np.random.default_rng(N * n)
+        for lam in (GN_DAMPING, 1e-2, 1.0):
+            J = rng.normal(size=(N, n))
+            r = rng.normal(size=N)
+            A, rhs = (J.T @ J, J.T @ r) if n <= N else (J @ J.T, r)
+            A[np.diag_indices_from(A)] += lam
+            y = cho_solve(cho_factor(A, check_finite=False), rhs, check_finite=False)
+            ref = -y if n <= N else -(J.T @ y)
+            assert np.array_equal(_damped_step(J, r, lam), ref)
+
+
+def _screen_cases(rng):
+    """(basis, mono, w) triples: random ones, then line-search trials on corr2d."""
+    for _ in range(200):
+        N, M = int(rng.integers(1, 60)), int(rng.integers(1, 40))
+        C = np.tril(rng.normal(size=(N, N))) * 10.0 ** rng.uniform(-3, 3)
+        mono = rng.normal(size=(N, M)) * 10.0 ** rng.uniform(-2, 2, size=(N, 1))
+        w = np.abs(rng.normal(size=M)) * (rng.random(M) < 0.8)
+        yield SimpleNamespace(coeff_matrix=C), mono, w
+    gm = corr2d()
+    basis = basis_for(gm, 4)
+    for M in (8, 15, 24):
+        nodes = mq.init_nodes(gm, M, mq.SolverConfig(seed=M))
+        phi = mq.assemble_phi(basis, nodes)
+        w, _ = mq.solve_weights(phi)
+        r, _ = mq.residual(phi, w)
+        step = _damped_step(mq.stacked_jacobian(basis, nodes, w), r, GN_DAMPING)
+        for k in range(12):
+            cand = nodes + LINE_SEARCH_SHRINK ** k * step.reshape(nodes.shape)
+            yield basis, _monomials(basis, cand), w
+
+
+class TestCertifiedRejection:
+    def test_screen_never_rejects_a_trial_the_exact_check_accepts(self):
+        # thresholds at random, a relative 1e-6 below the trial's exact
+        # residual norm, and within a few ulps of it on either side
+        rng = np.random.default_rng(12)
+        margin = rejected = 0
+        for basis, mono, w in _screen_cases(rng):
+            exact = mq.residual(basis.coeff_matrix @ mono, w)[1]
+            ulps = [exact + k * np.spacing(exact) for k in range(-4, 5)]
+            for nrm in [exact * rng.uniform(0.5, 1.5), exact * (1 - 1e-6), *ulps]:
+                if _certified_worse(basis, mono, w, nrm):
+                    rejected += 1
+                    assert exact > nrm
+                elif nrm == exact * (1 - 1e-6):
+                    margin += 1
+        # the screen is not vacuous: it certifies every clear rejection here
+        assert rejected > 0 and margin == 0
+
+    def test_screen_that_is_not_finite_certifies_nothing(self, hermite2):
+        mono = np.array([[1.0, 1.0], [np.inf, 0.0], [1.0, 0.0]])
+        with np.errstate(invalid="ignore"):
+            for w in (np.array([1.0, 0.0]), np.array([np.nan, 1.0])):
+                assert not _certified_worse(hermite2, mono, w, 0.0)
 
 
 def _reference_bcd(basis, start, cfg):
@@ -369,28 +431,29 @@ class TestBcdSolve:
 
     def test_each_node_set_gets_one_monomial_table(self, monkeypatch):
         # one table for the start and one per line-search trial; no table
-        # for the outer iterations' Phi or the Jacobians
+        # for the outer iterations' Phi or the Jacobians. Every trial passes
+        # the rejection screen once, whether or not it then forms Phi.
         import mixquad.basis
         import mixquad.quadrature
 
-        tables, residuals = [], []
-        monomials, residual = mixquad.basis._monomials, mixquad.quadrature.residual
+        tables, screens = [], []
+        monomials, screen = mixquad.basis._monomials, mixquad.quadrature._certified_worse
 
         def counting_monomials(basis, X):
             tables.append(X.copy())
             return monomials(basis, X)
 
-        def counting_residual(phi, w):
-            residuals.append(None)
-            return residual(phi, w)
+        def counting_screen(basis, mono, w, nrm):
+            screens.append(None)
+            return screen(basis, mono, w, nrm)
 
         monkeypatch.setattr("mixquad.basis._monomials", counting_monomials)
         monkeypatch.setattr("mixquad.quadrature._monomials", counting_monomials, raising=False)
-        monkeypatch.setattr("mixquad.quadrature.residual", counting_residual)
+        monkeypatch.setattr("mixquad.quadrature._certified_worse", counting_screen)
         gm = corr2d()
         cfg = mq.SolverConfig(seed=3)
-        rule = mq.bcd_solve(basis_for(gm, 2), mq.init_nodes(gm, 4, cfg), cfg)
-        trials = len(residuals) - len(rule.history)
+        mq.bcd_solve(basis_for(gm, 2), mq.init_nodes(gm, 4, cfg), cfg)
+        trials = len(screens)
         assert trials > 0
         assert len(tables) == 1 + trials
 
