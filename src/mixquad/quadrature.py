@@ -5,18 +5,13 @@ where row j of Phi holds basis function Psi_j at all nodes and e1 encodes
 E[Psi_j] = delta_1j. Block coordinate descent alternates an exact nonnegative
 least-squares solve in w with a damped Gauss-Newton move of the nodes; an
 adaptive driver grows the node count until the solve converges, then prunes
-low-weight nodes while convergence holds.
-
-A rule exact through order q is rarely unique at its node count: two nodes
-exact through order 2 form a one-parameter family, of which only the Gauss
-rule is also exact at order 3. The driver therefore ends with a
-maximal-exactness polish, one more solve from the accepted nodes on the
-order-(q + 1) basis, attempted only when the M (d + 1) unknowns can match
-its N_{q+1} equations.
+low-weight nodes while convergence holds. In one dimension the minimal rule
+is the Gauss rule of the measure, so the driver starts there from the
+eigenvalues of the Jacobi matrix (Golub & Welsch 1969).
 """
 
 from dataclasses import dataclass, replace
-from math import ceil, comb
+from math import ceil
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
@@ -24,7 +19,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import nnls
 
-from .basis import _jacobian, _monomials, _one_blas_thread, _points, gram_schmidt
+from .basis import _jacobian, _monomials, _one_blas_thread, _points
 from .basis import eval_basis_batch, eval_basis_jacobian_batch
 from .distribution import raw_moments, sample
 # perfbench/child.py reads rule_to_json and rule_from_json from this module
@@ -345,33 +340,25 @@ def _cut_labels(Z, M):
 
 @_one_blas_thread()
 def adaptive_rule(basis, gm, cfg, on_accept=None):
-    """Full node-count adaptation: init, increase until converged, prune, polish.
+    """Full node-count adaptation: init, increase until converged, prune.
 
-    Step 1 starts from M0 = ceil(N_2p / (d + 1)) clustered nodes, balancing
-    unknown count M (d + 1) against the N_2p exactness equations. Step 2
-    multiplies M by INCREASE_FACTOR until bcd_solve converges, aborting past
-    10 * N_2p nodes; the seeded candidate cloud and its linkage are built
-    once, and each start is a fresh cut of that linkage at the new M. Step 3
-    repeatedly deletes one node and re-solves warm-started from the
-    remaining nodes, accepting while the tolerance holds. The deleted node
-    is the lighter one of the closest pair when two nodes coincide
-    (Euclidean distance <= COINCIDENT_TOL), since the solve can split one
-    node's weight over two near-duplicates; otherwise it is the
-    minimum-weight node (ties: lowest index). Step 4, the
-    maximal-exactness polish, runs one more bcd_solve from the accepted
-    nodes on the basis one order higher (order 2p + 1, built from the
-    mixture's exact moments). Its result replaces the accepted rule only if
-    it converges and still meets cfg.residual_tol on the caller's basis;
-    otherwise the accepted rule is returned unchanged. The polish never
-    changes M, and it is attempted only when M (d + 1) >= N_{2p+1}: with
-    fewer unknowns than equations an exact rule does not exist in general.
-    For d = 1 it selects the Gauss rule. The whole call, like bcd_solve,
-    runs with the bundled OpenBLAS at one thread (basis._one_blas_thread).
+    Step 1 starts from M0 = ceil(N_2p / (d + 1)) nodes, balancing unknown
+    count M (d + 1) against the N_2p exactness equations. For d = 1 that is
+    order // 2 + 1, and the start is the Gauss rule's nodes (_gauss_nodes);
+    otherwise it is M0 clustered nodes. Step 2 multiplies M by INCREASE_FACTOR until
+    bcd_solve converges, aborting past 10 * N_2p nodes; the seeded candidate
+    cloud and its linkage are built once, and each start is a fresh cut of
+    that linkage at the new M. Step 3 repeatedly deletes one node and
+    re-solves warm-started from the remaining nodes, accepting while the
+    tolerance holds. The deleted node is the lighter one of the closest pair
+    when two nodes coincide (Euclidean distance <= COINCIDENT_TOL), since the
+    solve can split one node's weight over two near-duplicates; otherwise it
+    is the minimum-weight node (ties: lowest index). The whole call, like
+    bcd_solve, runs with the bundled OpenBLAS at one thread
+    (basis._one_blas_thread).
 
     on_accept, when given, is called with every accepted (converged) rule in
-    order, which exposes the decrease-phase trajectory for verification. It
-    is not called for a polished rule, which has the same node count as the
-    last accepted one.
+    order, which exposes the decrease-phase trajectory for verification.
 
     Raises
     ------
@@ -388,13 +375,15 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
     M = ceil(N2p / (d + 1))
     X = sample(gm, cfg.candidate_count, cfg.seed)
     Z = _linkage(X, M)
+    start = _gauss_nodes(basis, gm) if d == 1 else _centroids(X, Z, M)
     while True:
-        rule = bcd_solve(basis, _centroids(X, Z, M), cfg)
+        rule = bcd_solve(basis, start, cfg)
         if rule.converged:
             break
         M = ceil(INCREASE_FACTOR * M)
         if M > cap:
             raise IncreasePhaseError(M, cap, rule.residual_norm)
+        start = _centroids(X, Z, M)
     if on_accept is not None:
         on_accept(rule)
     while rule.n_nodes > 1:
@@ -406,7 +395,23 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
         rule = trial
         if on_accept is not None:
             on_accept(rule)
-    return _polish(basis, gm, rule, cfg)
+    return rule
+
+
+def _gauss_nodes(basis, gm):
+    """Nodes of the (order // 2 + 1)-point Gauss rule of a 1-d mixture.
+
+    With Psi_a = sum_i C[a, i] x^i orthonormal, the Jacobi matrix is
+    J[a, b] = E[x Psi_a Psi_b] = (C H1 C^T)[a, b], H1[i, j] = m_{i+j+1}, for
+    a, b < n; its eigenvalues are the n Gauss nodes (Golub & Welsch 1969).
+    Returned as an (n, 1) array.
+    """
+    n = basis.order // 2 + 1
+    table = raw_moments(gm, 2 * n - 1)
+    m = np.array([table[(k,)] for k in range(2 * n)])
+    C = basis.coeff_matrix[:n, :n]
+    H1 = m[1:][np.add.outer(np.arange(n), np.arange(n))]
+    return np.linalg.eigvalsh(C @ H1 @ C.T)[:, None]
 
 
 def _deletion_index(rule):
@@ -418,23 +423,3 @@ def _deletion_index(rule):
     if dist[i, j] <= COINCIDENT_TOL:
         return int(i if rule.weights[i] <= rule.weights[j] else j)
     return int(np.argmin(rule.weights))
-
-
-def _polish(basis, gm, rule, cfg):
-    """Maximal-exactness polish of a converged rule; see adaptive_rule, step 4."""
-    q = basis.order + 1
-    if rule.n_nodes * (gm.dim + 1) < comb(gm.dim + q, gm.dim):
-        return rule
-    try:
-        higher = gram_schmidt(raw_moments(gm, 2 * q), gm.dim, q)
-    except ValueError:
-        # no order-q basis (singular or ill-conditioned moments); the
-        # accepted rule is already as exact as the caller asked for
-        return rule
-    trial = bcd_solve(higher, rule.nodes, cfg)
-    if not trial.converged:
-        return rule
-    _, nrm = residual(assemble_phi(basis, trial.nodes), trial.weights)
-    if nrm > cfg.residual_tol:
-        return rule
-    return replace(trial, residual_norm=nrm, basis_order=basis.order)

@@ -29,12 +29,10 @@ class QuadratureRule:
     """Nodes, nonnegative weights, and the achieved exactness residual.
 
     history holds the per-outer-iteration residuals of the producing solve
-    (monotone non-increasing by the line-search contract). For a rule kept
-    from adaptive_rule's maximal-exactness polish that solve ran on the
-    order-(basis_order + 1) basis, so history measures against that basis,
-    while residual_norm and basis_order always refer to the caller's basis.
-    converged records whether residual_norm met the tolerance; seed is the
-    solver seed for reproducibility of the whole construction.
+    (monotone non-increasing by the line-search contract) on the basis of
+    order basis_order. converged records whether residual_norm met the
+    tolerance; seed is the solver seed for reproducibility of the whole
+    construction.
     """
 
     nodes: np.ndarray

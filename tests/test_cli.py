@@ -133,6 +133,12 @@ class TestQuadratureCommand:
         nodes = mq.nodes_from_csv((tmp_path / "nodes.csv").read_text())
         assert np.array_equal(nodes, rule.nodes)
 
+    def test_one_dimensional_order_four_gives_the_five_point_rule(self, cfg1, tmp_path):
+        res = run_cli("quadrature", "--config", cfg1, "--out", tmp_path, "--order", 4)
+        assert res.returncode == 0, res.stderr
+        rule = mq.rule_from_json((tmp_path / "rule.json").read_text())
+        assert rule.converged and rule.n_nodes == 5
+
     def test_unreachable_tolerance_exits_nonzero(self, cfg1, tmp_path, monkeypatch, capsys):
         def unreachable(basis, gm, cfg):
             raise mq.IncreasePhaseError(M=70, cap=60, last_residual=1e-17)

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 from numpy.testing import assert_allclose
 from scipy.cluster.hierarchy import cut_tree, linkage
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -25,6 +26,10 @@ from mixquad.quadrature import (
 
 def gauss1d():
     return mq.GaussianMixture([1.0], [[0.0]], [[[1.0]]])
+
+
+def two_lobes_1d():
+    return mq.GaussianMixture([0.5, 0.5], [[-1.0], [1.0]], [[[1.0]], [[1.0]]])
 
 
 def gauss2d():
@@ -560,48 +565,39 @@ class TestAdaptiveRule:
             want = float(a @ exact)
             assert abs(got - want) <= 10.0 * 1e-8 * np.linalg.norm(a)
 
-    def test_polish_recovers_three_point_gauss_rule(self):
+    @pytest.mark.parametrize("p", range(1, 7))
+    @pytest.mark.parametrize("name", ["gauss1d", "two_lobes_1d"])
+    def test_one_dimensional_rule_is_the_gauss_rule(self, name, p):
+        gm = gauss1d() if name == "gauss1d" else two_lobes_1d()
+        basis = basis_for(gm, 2 * p)
+        accepted = []
+        rule = mq.adaptive_rule(basis, gm, mq.SolverConfig(seed=0), on_accept=accepted.append)
+        assert rule.converged and rule.n_nodes == p + 1
+        assert rule.residual_norm <= 1e-12
+        assert [r.n_nodes for r in accepted] == [p + 1]
+        if name == "gauss1d":
+            x, w = hermegauss(p + 1)
+            order = np.argsort(rule.nodes[:, 0])
+            assert_allclose(rule.nodes[order, 0], x, rtol=0.0, atol=1e-12)
+            assert_allclose(rule.weights[order], w / w.sum(), rtol=0.0, atol=1e-12)
+
+    def test_odd_order_basis_gives_the_two_point_gauss_rule(self):
+        gm = gauss1d()
+        rule = mq.adaptive_rule(basis_for(gm, 3), gm, mq.SolverConfig(seed=0))
+        assert rule.converged and rule.n_nodes == 2
+        order = np.argsort(rule.nodes[:, 0])
+        assert_allclose(rule.nodes[order, 0], [-1.0, 1.0], rtol=0.0, atol=1e-12)
+        assert_allclose(rule.weights[order], [0.5, 0.5], rtol=0.0, atol=1e-12)
+
+    def test_failed_gauss_start_falls_back_to_clustered_starts(self, monkeypatch):
+        monkeypatch.setattr("mixquad.quadrature._gauss_nodes", lambda basis, gm: np.zeros((3, 1)))
         gm = gauss1d()
         basis = basis_for(gm, 4)
         accepted = []
         rule = mq.adaptive_rule(basis, gm, mq.SolverConfig(seed=0), on_accept=accepted.append)
+        assert [r.n_nodes for r in accepted] == [5, 4, 3]
         assert rule.converged and rule.n_nodes == 3
-        order = np.argsort(rule.nodes[:, 0])
-        r3 = np.sqrt(3.0)
-        assert_allclose(rule.nodes[order, 0], [-r3, 0.0, r3], atol=1e-5)
-        assert_allclose(rule.weights[order], [1 / 6, 2 / 3, 1 / 6], atol=1e-5)
-        # the contract is kept against the caller's order-2p basis, and the
-        # polished rule is not reported as a decrease-phase acceptance
-        assert rule.basis_order == 4
-        _, nrm = mq.residual(mq.assemble_phi(basis, rule.nodes), rule.weights)
-        assert rule.residual_norm == nrm <= 1e-8
-        assert all(r is not rule for r in accepted)
-        assert accepted[-1].n_nodes == rule.n_nodes
-
-    def test_unconverged_polish_keeps_accepted_rule(self):
-        gm = gauss1d()
-        basis = basis_for(gm, 6)
-        accepted = []
-        rule = mq.adaptive_rule(basis, gm, mq.SolverConfig(seed=0), on_accept=accepted.append)
-        assert rule is accepted[-1]
-        assert rule.converged and rule.n_nodes == 4
-        assert rule.basis_order == 6
         assert rule.residual_norm <= 1e-8
-
-    def test_polish_without_higher_basis_keeps_accepted_rule(self, monkeypatch):
-        # the order-(2p + 1) moment matrix can be singular to working precision
-        # where the order-2p one is not, e.g. for a mixture far from the origin
-        gm = gauss1d()
-        basis = basis_for(gm, 2)
-
-        def degenerate(moments, d, q):
-            raise mq.DegenerateBasisError(q, 0.0)
-
-        monkeypatch.setattr("mixquad.quadrature.gram_schmidt", degenerate)
-        accepted = []
-        rule = mq.adaptive_rule(basis, gm, mq.SolverConfig(seed=0), on_accept=accepted.append)
-        assert rule is accepted[-1]
-        assert rule.converged and rule.n_nodes == 2
 
     def test_increase_phase_abort_is_reported(self, monkeypatch):
         # every solve fails, so the increase phase must run past the cap
