@@ -12,7 +12,6 @@ from one matrix product.
 
 import ctypes
 import importlib.util
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -27,12 +26,8 @@ __all__ = [
     "DegenerateBasisError",
     "enumerate_indices",
     "gram_schmidt",
-    "eval_basis",
     "eval_basis_batch",
-    "eval_basis_jacobian",
     "eval_basis_jacobian_batch",
-    "basis_to_json",
-    "basis_from_json",
 ]
 
 # E[psi_hat^2] at or below this is treated as a numerically singular
@@ -70,9 +65,6 @@ class MultiIndex:
     @property
     def total_order(self):
         return int(sum(self.exponents))
-
-    def __len__(self):
-        return len(self.exponents)
 
 
 def enumerate_indices(d, q):
@@ -368,11 +360,6 @@ def eval_basis_batch(basis, xs):
     return out.T
 
 
-def eval_basis(basis, x):
-    """Evaluate [Psi_1(x), ..., Psi_N(x)] at a single point x in R^dim."""
-    return eval_basis_batch(basis, np.asarray(x, dtype=float)[None, :])[0]
-
-
 def eval_basis_jacobian_batch(basis, xs):
     """Jacobians of all basis functions at many points.
 
@@ -398,42 +385,3 @@ def _jacobian(basis, mono):
     dmono = np.take(mono, basis._parents, axis=0)
     dmono *= basis.exponent_matrix()[:, :, None]
     return (basis.coeff_matrix @ dmono.reshape(N, d * n)).reshape(N, d, n)
-
-
-def eval_basis_jacobian(basis, x):
-    """N x dim matrix of partial derivatives dPsi_j/dxi_i at a single point."""
-    return eval_basis_jacobian_batch(basis, np.asarray(x, dtype=float)[None, :])[:, :, 0]
-
-
-def basis_to_json(basis):
-    """Serialize to canonical JSON (fixed key order, round-trip decimals)."""
-    return json.dumps(basis_to_dict(basis), indent=2) + "\n"
-
-
-def basis_to_dict(basis):
-    return {
-        "dim": int(basis.dim),
-        "order": int(basis.order),
-        "indices": [list(mi.exponents) for mi in basis.indices],
-        "coeff_matrix": [[float(v) for v in row] for row in basis.coeff_matrix],
-        "gram_residual": float(basis.gram_residual),
-    }
-
-
-def basis_from_dict(obj):
-    try:
-        indices = tuple(MultiIndex(tuple(int(e) for e in a)) for a in obj["indices"])
-        return OrthoBasis(
-            dim=int(obj["dim"]),
-            order=int(obj["order"]),
-            indices=indices,
-            coeff_matrix=np.array(obj["coeff_matrix"], dtype=float),
-            gram_residual=float(obj["gram_residual"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed basis document: {exc}") from exc
-
-
-def basis_from_json(text):
-    """Parse a basis serialized by basis_to_json."""
-    return basis_from_dict(json.loads(text))

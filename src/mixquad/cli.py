@@ -9,15 +9,13 @@ seed, and rewrites byte-identical artifacts on rerun.
 """
 
 import argparse
-import hashlib
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import benchmarks
-from .basis import basis_from_dict, basis_to_dict, gram_schmidt
+from . import benchmarks, rules
+from .basis import gram_schmidt
 from .collocation import (
     AdapterError,
     ModelAdapter,
@@ -26,37 +24,28 @@ from .collocation import (
     evaluate_model,
     project,
     statistics,
-    surrogate_from_json,
-    surrogate_to_json,
 )
-from .distribution import mixture_from_json, mixture_to_json, raw_moments, sample
-from .rules import IncreasePhaseError, nodes_to_csv, rule_from_json, rule_to_json
+from .distribution import raw_moments, sample
 
 
 def _load_mixture(spec):
     """Mixture from 'builtin:<name>' or a JSON file path."""
     if spec.startswith("builtin:"):
         return benchmarks.builtin_mixture(spec.split(":", 1)[1])
-    return mixture_from_json(Path(spec).read_text())
+    return _read(Path(spec), rules.mixture_from_json)
+
+
+def _read(path, parse):
+    """parse(the text of path), with the path in front of a ValueError's message."""
+    try:
+        return parse(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write(path, text):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
-
-
-def _float_csv(v):
-    return repr(float(v))
-
-
-def _mixture_digest(gm):
-    """SHA-256 of the mixture's canonical JSON, which ties a basis file to it."""
-    return hashlib.sha256(mixture_to_json(gm).encode()).hexdigest()
-
-
-def _basis_document(basis, gm):
-    obj = {**basis_to_dict(basis), "mixture_sha256": _mixture_digest(gm)}
-    return json.dumps(obj, indent=2) + "\n"
 
 
 def cmd_basis(args):
@@ -66,8 +55,8 @@ def cmd_basis(args):
     basis_2p = gram_schmidt(moments, gm.dim, 2 * p)
     basis_p = gram_schmidt(moments, gm.dim, p)
     out = Path(args.out)
-    _write(out / "basis_2p.json", _basis_document(basis_2p, gm))
-    _write(out / "basis_p.json", _basis_document(basis_p, gm))
+    _write(out / "basis_2p.json", rules.basis_to_json(basis_2p, gm))
+    _write(out / "basis_p.json", rules.basis_to_json(basis_p, gm))
     print(
         f"basis: dim={gm.dim} p={p} sizes {basis_p.size}/{basis_2p.size} "
         f"gram residuals {basis_p.gram_residual:.2e}/{basis_2p.gram_residual:.2e}",
@@ -83,14 +72,13 @@ def _stage_basis(path, gm, q):
     """
     if not path.exists():
         return gram_schmidt(raw_moments(gm, 2 * q), gm.dim, q)
-    obj = json.loads(path.read_text())
-    basis = basis_from_dict(obj)
+    basis, digest = _read(path, rules.basis_document_from_json)
     if (basis.dim, basis.order) != (gm.dim, q):
         raise ValueError(
             f"{path} holds a basis of dim {basis.dim} and order {basis.order}; "
             f"this run needs dim {gm.dim} and order {q}"
         )
-    digest, expected = obj.get("mixture_sha256"), _mixture_digest(gm)
+    expected = rules.mixture_sha256(gm)
     if digest is None:
         raise ValueError(f"{path} has no mixture_sha256; rerun `mixquad basis` for this mixture")
     if digest != expected:
@@ -109,8 +97,8 @@ def cmd_quadrature(args):
     out = Path(args.out)
     basis_2p = _stage_basis(out / "basis_2p.json", gm, 2 * args.order)
     rule = adaptive_rule(basis_2p, gm, SolverConfig(residual_tol=args.tol, seed=args.seed))
-    _write(out / "rule.json", rule_to_json(rule))
-    _write(out / "nodes.csv", nodes_to_csv(rule.nodes))
+    _write(out / "rule.json", rules.rule_to_json(rule))
+    _write(out / "nodes.csv", rules.nodes_to_csv(rule.nodes))
     print(
         f"quadrature: M={rule.n_nodes} residual={rule.residual_norm:.3e} "
         f"converged={rule.converged}",
@@ -140,7 +128,7 @@ def cmd_surrogate(args):
     gm = _load_mixture(args.config)
     p = args.order
     out = Path(args.out)
-    rule = rule_from_json((out / "rule.json").read_text())
+    rule = _read(out / "rule.json", rules.rule_from_json)
     if rule.dim != gm.dim:
         raise ValueError(f"rule dimension {rule.dim} does not match mixture dimension {gm.dim}")
     _check_exactness(rule, p)
@@ -148,12 +136,11 @@ def cmd_surrogate(args):
     adapter = _adapter_from_args(args)
     values = evaluate_model(adapter, rule.nodes)
     surr = project(rule, basis_p, values, model_name=adapter.describe())
-    _write(out / "surrogate.json", surrogate_to_json(surr))
-    lines = ["index,exponents,coefficient,magnitude"]
-    for j, (mi, c) in enumerate(zip(basis_p.indices, surr.coefficients)):
-        alpha = " ".join(str(e) for e in mi.exponents)
-        lines.append(f"{j},{alpha},{_float_csv(c)},{_float_csv(abs(c))}")
-    _write(out / "coefficients.csv", "\n".join(lines) + "\n")
+    _write(out / "surrogate.json", rules.surrogate_to_json(surr))
+    rows = [(j, " ".join(map(str, mi.exponents)), c, abs(c))
+            for j, (mi, c) in enumerate(zip(basis_p.indices, surr.coefficients.tolist()))]
+    header = ("index", "exponents", "coefficient", "magnitude")
+    _write(out / "coefficients.csv", rules.csv_text([header, *rows]))
     mean, _, std = statistics(surr)
     print(
         f"surrogate: model={adapter.describe()} M={rule.n_nodes} "
@@ -166,19 +153,16 @@ def cmd_surrogate(args):
 def cmd_stats(args):
     gm = _load_mixture(args.config)
     out = Path(args.out)
-    surr = surrogate_from_json((out / "surrogate.json").read_text())
+    surr = _read(out / "surrogate.json", rules.surrogate_from_json)
     mean, variance, std = statistics(surr)
-    obj = {"mean": float(mean), "variance": float(variance), "std": float(std)}
-    _write(out / "stats.json", json.dumps(obj, indent=2) + "\n")
+    _write(out / "stats.json", rules.stats_to_json(mean, variance, std))
     dens = density_estimate(surr, gm, args.n_samples, args.seed, n_bins=args.bins)
-    lines = ["kind,x,width,density"]
     centers = 0.5 * (dens.bin_edges[:-1] + dens.bin_edges[1:])
     widths = np.diff(dens.bin_edges)
-    for x, wdt, y in zip(centers, widths, dens.bin_density):
-        lines.append(f"hist,{_float_csv(x)},{_float_csv(wdt)},{_float_csv(y)}")
-    for x, y in zip(dens.kde_points, dens.kde_density):
-        lines.append(f"kde,{_float_csv(x)},0.0,{_float_csv(y)}")
-    _write(out / "density.csv", "\n".join(lines) + "\n")
+    hist = zip(centers.tolist(), widths.tolist(), dens.bin_density.tolist())
+    kde = zip(dens.kde_points.tolist(), dens.kde_density.tolist())
+    rows = [("hist", *r) for r in hist] + [("kde", x, 0.0, y) for x, y in kde]
+    _write(out / "density.csv", rules.csv_text([("kind", "x", "width", "density"), *rows]))
     note = " (degenerate: zero-variance output)" if dens.degenerate else ""
     print(f"stats: mean={mean:.6g} std={std:.6g}{note}", file=sys.stderr)
     return 0
@@ -186,14 +170,9 @@ def cmd_stats(args):
 
 def cmd_sample(args):
     gm = _load_mixture(args.config)
-    header = ",".join(f"xi_{i}" for i in range(gm.dim))
-    if args.n == 0:
-        text = header + "\n"
-    else:
-        X = sample(gm, args.n, args.seed)
-        rows = [",".join(_float_csv(v) for v in row) for row in X]
-        text = header + "\n" + "\n".join(rows) + "\n"
-    _write(Path(args.out) / "samples.csv", text)
+    rows = sample(gm, args.n, args.seed).tolist() if args.n else []
+    header = [f"xi_{i}" for i in range(gm.dim)]
+    _write(Path(args.out) / "samples.csv", rules.csv_text([header, *rows]))
     print(f"sample: wrote {args.n} draws (dim {gm.dim})", file=sys.stderr)
     return 0
 
@@ -261,7 +240,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return HANDLERS[args.command](args)
-    except (ValueError, AdapterError, IncreasePhaseError, OSError) as exc:
+    except (ValueError, AdapterError, rules.IncreasePhaseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,63 +8,32 @@ small adapter: builtin analytic benchmarks, a file exchange for external
 batch simulators, or a line-oriented subprocess protocol.
 """
 
-import json
 import shlex
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import benchmarks
-from .basis import EVAL_CHUNK, basis_from_dict, basis_to_dict, eval_basis, eval_basis_batch
+from .basis import EVAL_CHUNK, eval_basis_batch
 from .distribution import sample
-from .rules import nodes_to_csv
+from .rules import Surrogate, nodes_to_csv, numbers_from_lines
 
 __all__ = [
-    "Surrogate",
     "ModelAdapter",
     "AdapterError",
     "DensityEstimate",
     "project",
     "project_columns",
-    "evaluate",
     "evaluate_batch",
     "statistics",
     "density_estimate",
     "evaluate_model",
-    "surrogate_to_json",
-    "surrogate_from_json",
-    "values_to_csv",
-    "values_from_csv",
 ]
 
 
 class AdapterError(RuntimeError):
     """Model evaluation through an adapter failed; message carries context."""
-
-
-@dataclass(frozen=True, eq=False)
-class Surrogate:
-    """Polynomial surrogate y(xi) ~ sum_alpha c_alpha Psi_alpha(xi).
-
-    basis has order p; coefficients follow the basis index order and have
-    length binom(d + p, d). rule_residual records the exactness residual of
-    the rule that produced the projection; meta carries the model identifier
-    and the node count used.
-    """
-
-    basis: object
-    coefficients: np.ndarray
-    rule_residual: float
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
-        if c.shape != (self.basis.size,):
-            raise ValueError(
-                f"coefficient vector has shape {c.shape}, basis has {self.basis.size} functions"
-            )
-        object.__setattr__(self, "coefficients", c)
 
 
 @dataclass(frozen=True)
@@ -165,11 +134,6 @@ def project_columns(rule, basis, value_matrix):
         raise ValueError(f"non-finite model value at node index {k}")
     phi_p = eval_basis_batch(basis, rule.nodes)
     return (phi_p.T @ (rule.weights[:, None] * V)).T
-
-
-def evaluate(s, x):
-    """Surrogate value sum_alpha c_alpha Psi_alpha(x) at one point."""
-    return float(eval_basis(s.basis, x) @ s.coefficients)
 
 
 def evaluate_batch(s, xs):
@@ -281,28 +245,6 @@ def density_estimate(s, gm, n_samples, seed, n_bins=60):
     )
 
 
-def _parse_values_lines(lines, source):
-    vals = []
-    for ln, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            vals.append(float(stripped))
-        except ValueError:
-            raise AdapterError(f"{source}: line {ln} is not a number: {stripped!r}") from None
-    return np.array(vals, dtype=float)
-
-
-def values_from_csv(text, source="values"):
-    """Values file: one real per line, '#' lines and blanks ignored."""
-    return _parse_values_lines(text.splitlines(), source)
-
-
-def values_to_csv(values):
-    return "\n".join(repr(float(v)) for v in np.asarray(values).reshape(-1)) + "\n"
-
-
 def _eval_builtin(name, nodes):
     fn = benchmarks.BUILTIN_MODELS.get(name)
     if fn is None:
@@ -312,13 +254,23 @@ def _eval_builtin(name, nodes):
     return np.asarray(fn(nodes), dtype=float).reshape(-1)
 
 
-def _first_missing(vals, nodes):
-    """Error suffix naming the first node without a value, if any is short."""
+def _values(text, source, nodes):
+    """One value per node from text, one real per line (rules.numbers_from_lines).
+
+    A count mismatch names the first node without a value, if any is short.
+    """
+    try:
+        vals = numbers_from_lines(text, source)
+    except ValueError as exc:
+        raise AdapterError(str(exc)) from None
     k = vals.size
-    if k >= len(nodes):
-        return ""
-    coords = ", ".join(repr(float(v)) for v in nodes[k])
-    return f"; first node without a value: node {k} at ({coords})"
+    if k != len(nodes):
+        msg = f"{source}: got {k} values for {len(nodes)} nodes (positional alignment)"
+        if k < len(nodes):
+            coords = ", ".join(map(str, nodes[k].tolist()))
+            msg += f"; first node without a value: node {k} at ({coords})"
+        raise AdapterError(msg)
+    return vals
 
 
 def _eval_batch_file(spec, nodes):
@@ -331,18 +283,12 @@ def _eval_batch_file(spec, nodes):
             text = fh.read()
     except OSError as exc:
         raise AdapterError(f"cannot read values file {path}: {exc}") from None
-    vals = values_from_csv(text, source=path)
-    if vals.size != len(nodes):
-        raise AdapterError(
-            f"{path}: got {vals.size} values for {len(nodes)} nodes (positional alignment)"
-            + _first_missing(vals, nodes)
-        )
-    return vals
+    return _values(text, path, nodes)
 
 
 def _eval_subprocess(spec, nodes):
     cmd = spec["command"]
-    lines = "\n".join(" ".join(repr(float(v)) for v in row) for row in nodes) + "\n"
+    lines = "".join(" ".join(map(str, row)) + "\n" for row in nodes.tolist())
     try:
         proc = subprocess.run(
             shlex.split(cmd),
@@ -357,13 +303,7 @@ def _eval_subprocess(spec, nodes):
         raise AdapterError(
             f"{cmd!r} exited with status {proc.returncode}: {' | '.join(tail) or 'no stderr'}"
         )
-    vals = _parse_values_lines(proc.stdout.splitlines(), source=f"stdout of {cmd!r}")
-    if vals.size != len(nodes):
-        raise AdapterError(
-            f"{cmd!r} produced {vals.size} values for {len(nodes)} nodes"
-            + _first_missing(vals, nodes)
-        )
-    return vals
+    return _values(proc.stdout, f"stdout of {cmd!r}", nodes)
 
 
 def evaluate_model(adapter, nodes):
@@ -395,30 +335,3 @@ def evaluate_model(adapter, nodes):
     if adapter.kind == "subprocess":
         return _eval_subprocess(adapter.spec, nodes)
     raise AdapterError(f"unknown adapter kind {adapter.kind!r}")
-
-
-def surrogate_to_json(s):
-    """Serialize to canonical JSON with the basis embedded."""
-    obj = {
-        "basis": basis_to_dict(s.basis),
-        "coefficients": [float(v) for v in s.coefficients],
-        "rule_residual": float(s.rule_residual),
-        "meta": {
-            "model": str(s.meta.get("model", "unknown")),
-            "sample_count": int(s.meta.get("sample_count", 0)),
-        },
-    }
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def surrogate_from_json(text):
-    obj = json.loads(text)
-    try:
-        return Surrogate(
-            basis=basis_from_dict(obj["basis"]),
-            coefficients=np.array(obj["coefficients"], dtype=float),
-            rule_residual=float(obj["rule_residual"]),
-            meta=dict(obj["meta"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed surrogate document: {exc}") from exc

@@ -1,13 +1,12 @@
 """Gaussian-mixture input densities.
 
 The joint distribution of the d correlated parameters is a finite mixture of
-Gaussians. This module provides seeded sampling, pointwise density evaluation,
-and exact raw moments E[xi^gamma]; the moment recursion replaces any sampling
-or quadrature in everything built on top (basis construction, rule residuals,
-reference statistics).
+Gaussians. This module provides seeded sampling and exact raw moments
+E[xi^gamma]; the moment recursion replaces any sampling or quadrature in
+everything built on top (basis construction, rule residuals, reference
+statistics).
 """
 
-import json
 from dataclasses import dataclass
 from math import comb
 
@@ -20,10 +19,7 @@ __all__ = [
     "MomentTable",
     "MomentOverflowError",
     "sample",
-    "density",
     "raw_moments",
-    "mixture_to_json",
-    "mixture_from_json",
 ]
 
 WEIGHT_TOL = 1e-12
@@ -88,7 +84,7 @@ class GaussianMixture:
         self._weights = w
         self._means = means
         self._covs = covs
-        self._chols = chols
+        self._chols = chols  # L_k with L_k L_k^T = Sigma_k, for sample
         for arr in [w, *means, *covs]:
             arr.flags.writeable = False
 
@@ -111,10 +107,6 @@ class GaussianMixture:
     @property
     def covariances(self):
         return self._covs
-
-    def cholesky_factors(self):
-        """Lower-triangular factors L_k with L_k L_k^T = Sigma_k."""
-        return self._chols
 
     def __repr__(self):
         return f"GaussianMixture(n_components={self.n_components}, dim={self.dim})"
@@ -155,26 +147,9 @@ def sample(gm, n, seed):
     X = np.empty((n, d))
     for k in range(K):
         mask = comps == k
-        L = gm.cholesky_factors()[k]
+        L = gm._chols[k]
         X[mask] = gm.means[k] + rng.standard_normal((int(mask.sum()), d)) @ L.T
     return X
-
-
-def density(gm, x):
-    """Mixture density sum_k pi_k N(x; mu_k, Sigma_k) at a point x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (gm.dim,):
-        raise ValueError(f"point has shape {x.shape}, expected ({gm.dim},)")
-    d = gm.dim
-    total = 0.0
-    for k in range(gm.n_components):
-        L = gm.cholesky_factors()[k]
-        z = np.linalg.solve(L, x - gm.means[k])
-        logdet = np.log(np.diag(L)).sum()
-        total += gm.mix_weights[k] * np.exp(
-            -0.5 * z @ z - logdet - 0.5 * d * np.log(2.0 * np.pi)
-        )
-    return float(total)
 
 
 def _gaussian_moments(mu, cov, E, parent, component):
@@ -243,36 +218,3 @@ def raw_moments(gm, max_order):
     values = dict(zip(keys, total.tolist()))
     values[(0,) * gm.dim] = 1.0
     return MomentTable(max_order=max_order, values=values)
-
-
-def mixture_to_json(gm):
-    """Serialize to canonical JSON (fixed key order, round-trip decimals)."""
-    obj = {
-        "dim": int(gm.dim),
-        "components": [
-            {
-                "weight": float(gm.mix_weights[k]),
-                "mean": [float(v) for v in gm.means[k]],
-                "cov": [[float(v) for v in row] for row in gm.covariances[k]],
-            }
-            for k in range(gm.n_components)
-        ],
-    }
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def mixture_from_json(text):
-    """Parse a mixture specification (see mixture_to_json for the schema)."""
-    obj = json.loads(text)
-    try:
-        comps = obj["components"]
-        weights = [c["weight"] for c in comps]
-        means = [c["mean"] for c in comps]
-        covs = [c["cov"] for c in comps]
-        declared = int(obj["dim"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed mixture specification: missing {exc}") from None
-    gm = GaussianMixture(weights, means, covs)
-    if gm.dim != declared:
-        raise ValueError(f"declared dim {declared} but components have dimension {gm.dim}")
-    return gm

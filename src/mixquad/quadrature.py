@@ -363,7 +363,8 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
     Raises
     ------
     IncreasePhaseError
-        If the increase phase exceeds 10 * N_2p nodes without converging.
+        If the increase phase exceeds 10 * N_2p nodes without converging; it
+        carries the residual of one NNLS over the whole candidate cloud.
     """
     N2p = basis.size
     d = gm.dim
@@ -382,7 +383,9 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
             break
         M = ceil(INCREASE_FACTOR * M)
         if M > cap:
-            raise IncreasePhaseError(M, cap, rule.residual_norm)
+            phi = assemble_phi(basis, X)
+            _, best = residual(phi, solve_weights(phi)[0])
+            raise IncreasePhaseError(M, cap, rule.residual_norm, len(X), best, cfg.residual_tol)
         start = _centroids(X, Z, M)
     if on_accept is not None:
         on_accept(rule)

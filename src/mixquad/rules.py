@@ -1,26 +1,42 @@
-"""Quadrature rules as data: the rule type, the solver's error and the file
-formats, in numpy only, so that reading a rule loads neither solver nor scipy."""
+"""Rules and surrogates as data, the solver's error, and every file format.
 
+In numpy only, so that reading an artifact loads neither solver nor scipy.
+Arrays enter JSON and CSV through ndarray.tolist(), as Python floats that
+print as their shortest round-trip decimals.
+"""
+
+import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["QuadratureRule", "IncreasePhaseError", "rule_to_json", "rule_from_json",
-           "nodes_to_csv", "nodes_from_csv"]
+from .basis import MultiIndex, OrthoBasis
+from .distribution import GaussianMixture
+
+__all__ = ["QuadratureRule", "Surrogate", "IncreasePhaseError", "mixture_to_json",
+           "mixture_from_json", "basis_to_json", "basis_from_json", "rule_to_json",
+           "rule_from_json", "surrogate_to_json", "surrogate_from_json", "nodes_to_csv"]
 
 
 class IncreasePhaseError(RuntimeError):
-    """Increase phase hit the node budget without converging."""
+    """Increase phase hit the node budget without converging.
 
-    def __init__(self, M, cap, last_residual):
+    cloud_residual, from one NNLS over the cloud_size candidate points the
+    starts were cut from, is the least residual of any rule with nodes among
+    them: above tol, no start could have converged.
+    """
+
+    def __init__(self, M, cap, last_residual, cloud_size, cloud_residual, tol):
         self.M = M
         self.cap = cap
         self.last_residual = last_residual
+        self.cloud_residual = cloud_residual
+        found = "no rule" if cloud_residual > tol else "a rule"
         super().__init__(
             f"increase phase reached M = {M} > {cap} without convergence "
-            f"(last residual {last_residual:.3e}); "
-            "ill-posed basis or tolerance too tight"
+            f"(last residual {last_residual:.3e}); {found} with nodes among the {cloud_size} "
+            f"cloud points meets the tolerance (best {cloud_residual:.3e})"
         )
 
 
@@ -60,46 +76,177 @@ class QuadratureRule:
         return self.nodes.shape[1]
 
 
-def rule_to_json(rule):
-    """Serialize to canonical JSON (fixed key order, round-trip decimals)."""
-    obj = {
-        "dim": int(rule.dim),
-        "order_2p": int(rule.basis_order),
-        "nodes": [[float(v) for v in row] for row in rule.nodes],
-        "weights": [float(v) for v in rule.weights],
-        "residual_norm": float(rule.residual_norm),
-        "converged": bool(rule.converged),
-        "seed": None if rule.seed is None else int(rule.seed),
-    }
+@dataclass(frozen=True, eq=False)
+class Surrogate:
+    """Polynomial surrogate y(xi) ~ sum_alpha c_alpha Psi_alpha(xi).
+
+    basis has order p; coefficients follow the basis index order and have
+    length binom(d + p, d). rule_residual records the exactness residual of
+    the rule that produced the projection; meta carries the model identifier
+    and the node count used.
+    """
+
+    basis: object
+    coefficients: np.ndarray
+    rule_residual: float
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        c = np.asarray(self.coefficients, dtype=float)
+        if c.shape != (self.basis.size,):
+            raise ValueError(
+                f"coefficient vector has shape {c.shape}, basis has {self.basis.size} functions"
+            )
+        object.__setattr__(self, "coefficients", c)
+
+
+def _dumps(obj):
     return json.dumps(obj, indent=2) + "\n"
 
 
-def rule_from_json(text):
-    obj = json.loads(text)
+def _loads(text, kind, build):
+    """build(parsed text), raising a ValueError that names kind for a malformed document."""
     try:
-        return QuadratureRule(
-            nodes=np.array(obj["nodes"], dtype=float),
-            weights=np.array(obj["weights"], dtype=float),
-            residual_norm=float(obj["residual_norm"]),
-            basis_order=int(obj["order_2p"]),
-            converged=bool(obj["converged"]),
-            seed=obj["seed"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed quadrature document: {exc}") from exc
+        return build(json.loads(text))
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"malformed {kind} document: {exc}") from exc
+
+
+def mixture_to_json(gm):
+    """Serialize to canonical JSON (fixed key order, round-trip decimals)."""
+    comps = zip(gm.mix_weights.tolist(), gm.means, gm.covariances)
+    return _dumps({
+        "dim": int(gm.dim),
+        "components": [{"weight": w, "mean": m.tolist(), "cov": S.tolist()} for w, m, S in comps],
+    })
+
+
+def _mixture(obj):
+    comps = obj["components"]
+    declared = int(obj["dim"])
+    gm = GaussianMixture([c["weight"] for c in comps], [c["mean"] for c in comps],
+                         [c["cov"] for c in comps])
+    if gm.dim != declared:
+        raise ValueError(f"declared dim {declared} but components have dimension {gm.dim}")
+    return gm
+
+
+def mixture_from_json(text):
+    """Parse a mixture specification (see mixture_to_json for the schema)."""
+    return _loads(text, "mixture", _mixture)
+
+
+def mixture_sha256(gm):
+    """SHA-256 of the mixture's canonical JSON, which ties a basis file to it."""
+    return hashlib.sha256(mixture_to_json(gm).encode()).hexdigest()
+
+
+def _basis_dict(basis):
+    return {
+        "dim": int(basis.dim),
+        "order": int(basis.order),
+        "indices": basis.exponent_matrix().tolist(),
+        "coeff_matrix": basis.coeff_matrix.tolist(),
+        "gram_residual": float(basis.gram_residual),
+    }
+
+
+def _basis(obj):
+    return OrthoBasis(
+        dim=int(obj["dim"]),
+        order=int(obj["order"]),
+        indices=tuple(MultiIndex(tuple(int(e) for e in a)) for a in obj["indices"]),
+        coeff_matrix=np.array(obj["coeff_matrix"], dtype=float),
+        gram_residual=float(obj["gram_residual"]),
+    )
+
+
+def basis_to_json(basis, mixture=None):
+    """Serialize to canonical JSON, with the mixture_sha256 of a given mixture."""
+    obj = _basis_dict(basis)
+    if mixture is not None:
+        obj["mixture_sha256"] = mixture_sha256(mixture)
+    return _dumps(obj)
+
+
+def basis_from_json(text):
+    """Parse a basis serialized by basis_to_json."""
+    return basis_document_from_json(text)[0]
+
+
+def basis_document_from_json(text):
+    """(basis, its mixture_sha256 or None) from a basis document."""
+    return _loads(text, "basis", lambda obj: (_basis(obj), obj.get("mixture_sha256")))
+
+
+def rule_to_json(rule):
+    """Serialize to canonical JSON (fixed key order, round-trip decimals)."""
+    return _dumps({
+        "dim": int(rule.dim),
+        "order_2p": int(rule.basis_order),
+        "nodes": rule.nodes.tolist(),
+        "weights": rule.weights.tolist(),
+        "residual_norm": float(rule.residual_norm),
+        "converged": bool(rule.converged),
+        "seed": None if rule.seed is None else int(rule.seed),
+    })
+
+
+def rule_from_json(text):
+    return _loads(text, "rule", lambda obj: QuadratureRule(
+        nodes=np.array(obj["nodes"], dtype=float),
+        weights=np.array(obj["weights"], dtype=float),
+        residual_norm=float(obj["residual_norm"]),
+        basis_order=int(obj["order_2p"]),
+        converged=bool(obj["converged"]),
+        seed=obj["seed"],
+    ))
+
+
+def surrogate_to_json(s):
+    """Serialize to canonical JSON with the basis embedded."""
+    return _dumps({
+        "basis": _basis_dict(s.basis),
+        "coefficients": s.coefficients.tolist(),
+        "rule_residual": float(s.rule_residual),
+        "meta": {
+            "model": str(s.meta.get("model", "unknown")),
+            "sample_count": int(s.meta.get("sample_count", 0)),
+        },
+    })
+
+
+def surrogate_from_json(text):
+    return _loads(text, "surrogate", lambda obj: Surrogate(
+        basis=_basis(obj["basis"]),
+        coefficients=np.array(obj["coefficients"], dtype=float),
+        rule_residual=float(obj["rule_residual"]),
+        meta=dict(obj["meta"]),
+    ))
+
+
+def stats_to_json(mean, variance, std):
+    return _dumps({"mean": float(mean), "variance": float(variance), "std": float(std)})
+
+
+def csv_text(rows):
+    """One comma-separated line per row of strings, ints and Python floats."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def nodes_to_csv(nodes):
     """One node per row, full round-trip decimals, comma separated."""
-    lines = [",".join(repr(float(v)) for v in row) for row in np.atleast_2d(nodes)]
-    return "\n".join(lines) + "\n"
+    return csv_text(np.atleast_2d(nodes).tolist())
 
 
-def nodes_from_csv(text):
-    rows = []
-    for line in text.splitlines():
+def numbers_from_lines(text, source):
+    """The real on each line of text but blank and '#' lines; a ValueError names source."""
+    vals = []
+    for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append([float(tok) for tok in line.split(",")])
-    return np.array(rows, dtype=float)
+        if line and not line.startswith("#"):
+            try:
+                vals.append(float(line))
+            except ValueError:
+                raise ValueError(f"{source}: line {ln} is not a number: {line!r}") from None
+    return np.array(vals, dtype=float)

@@ -148,10 +148,8 @@ class TestGramSchmidt:
         gm = mq.GaussianMixture([1.0], [[0.0]], [[[s * s]]])
         bs = mq.gram_schmidt(mq.raw_moments(gm, 8), 1, 4)
         b1 = hermite_basis(4)
-        for x in np.linspace(-3.0, 3.0, 7):
-            assert_allclose(
-                mq.eval_basis(bs, [s * x]), mq.eval_basis(b1, [x]), atol=1e-9
-            )
+        x = np.linspace(-3.0, 3.0, 7)[:, None]
+        assert_allclose(mq.eval_basis_batch(bs, s * x), mq.eval_basis_batch(b1, x), atol=1e-9)
 
     def test_degenerate_support_reported_with_index(self):
         # E[xi^4] = 1 is the two-point measure at +-1: {1, xi} span everything
@@ -196,7 +194,7 @@ class TestEvalBasis:
 
     def test_hermite_values_at_one(self):
         basis = hermite_basis(2)
-        assert_allclose(mq.eval_basis(basis, [1.0]), [1.0, 1.0, 0.0], atol=1e-14)
+        assert_allclose(mq.eval_basis_batch(basis, [[1.0]])[0], [1.0, 1.0, 0.0], atol=1e-14)
 
     def test_matches_direct_monomial_expansion(self):
         rng = np.random.default_rng(3)
@@ -213,19 +211,10 @@ class TestEvalBasis:
                 dmono = E[:, i] * np.prod(X[:, None, :] ** lowered, axis=2)
                 assert_allclose(J[:, i, :], C @ dmono.T, rtol=1e-12, atol=1e-12)
 
-    def test_batch_matches_scalar(self):
-        # agreement to rounding; the two shapes may hit different BLAS kernels
-        basis = mq.gram_schmidt(mq.raw_moments(corr2d(), 6), 2, 3)
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(10, 2))
-        batch = mq.eval_basis_batch(basis, X)
-        for i in range(10):
-            assert_allclose(batch[i], mq.eval_basis(basis, X[i]), rtol=1e-13, atol=1e-14)
-
     def test_dimension_mismatch_rejected(self):
         basis = hermite_basis(2)
         with pytest.raises(ValueError):
-            mq.eval_basis(basis, [0.0, 0.0])
+            mq.eval_basis_batch(basis, [[0.0, 0.0]])
 
     @pytest.mark.parametrize("name", ["gm4", "gm6"])
     def test_monomials_equal_left_to_right_power_products(self, name):
@@ -280,28 +269,26 @@ class TestOneBlasThread:
 class TestEvalBasisJacobian:
     def test_constant_row_is_zero(self):
         basis = mq.gram_schmidt(mq.raw_moments(corr2d(), 4), 2, 2)
-        J = mq.eval_basis_jacobian(basis, [0.3, -0.7])
+        J = mq.eval_basis_jacobian_batch(basis, [[0.3, -0.7]])
         assert np.all(J[0] == 0.0)
 
     def test_cubic_hermite_derivative(self):
         # d/dx (x^3 - 3x)/sqrt(6) at x=2 is 9/sqrt(6)
         basis = hermite_basis(3)
-        J = mq.eval_basis_jacobian(basis, [2.0])
-        assert_allclose(J[3, 0], 9.0 / sqrt(6.0), rtol=1e-13)
+        J = mq.eval_basis_jacobian_batch(basis, [[2.0]])
+        assert_allclose(J[3, 0, 0], 9.0 / sqrt(6.0), rtol=1e-13)
 
     def test_matches_central_differences(self):
         gm = corr2d()
         basis = mq.gram_schmidt(mq.raw_moments(gm, 6), 2, 3)
         rng = np.random.default_rng(6)
         h = 1e-5
-        for x in rng.normal(size=(50, 2)):
-            J = mq.eval_basis_jacobian(basis, x)
-            for i in range(2):
-                xp, xm = x.copy(), x.copy()
-                xp[i] += h
-                xm[i] -= h
-                fd = (mq.eval_basis(basis, xp) - mq.eval_basis(basis, xm)) / (2.0 * h)
-                assert_allclose(J[:, i], fd, rtol=1e-6, atol=1e-7)
+        X = rng.normal(size=(50, 2))
+        J = mq.eval_basis_jacobian_batch(basis, X)
+        for i in range(2):
+            step = h * np.eye(2)[i]
+            fd = mq.eval_basis_batch(basis, X + step) - mq.eval_basis_batch(basis, X - step)
+            assert_allclose(J[:, i, :], fd.T / (2.0 * h), rtol=1e-6, atol=1e-7)
 
     @pytest.mark.parametrize("d, q", [(1, 5), (2, 4), (6, 4)])
     def test_parent_table_points_at_lowered_exponent(self, d, q):
@@ -328,29 +315,3 @@ class TestEvalBasisJacobian:
             lowered[j] = 0
             assert np.array_equal(E[prefix[a, 0]], lowered)
             assert prefix[a, 1] == j * (q + 1) + E[a, j]
-
-    def test_batch_matches_scalar(self):
-        basis = mq.gram_schmidt(mq.raw_moments(corr2d(), 6), 2, 3)
-        rng = np.random.default_rng(7)
-        X = rng.normal(size=(8, 2))
-        batch = mq.eval_basis_jacobian_batch(basis, X)  # (N, d, n)
-        for k in range(8):
-            assert_allclose(
-                batch[:, :, k], mq.eval_basis_jacobian(basis, X[k]), rtol=1e-13, atol=1e-14
-            )
-
-
-class TestBasisJson:
-    def test_round_trip_is_byte_stable_and_equivalent(self):
-        basis = mq.gram_schmidt(mq.raw_moments(corr2d(), 8), 2, 4)
-        text = mq.basis_to_json(basis)
-        back = mq.basis_from_json(text)
-        assert mq.basis_to_json(back) == text
-        assert back.dim == basis.dim and back.order == basis.order
-        assert np.array_equal(back.coeff_matrix, basis.coeff_matrix)
-        x = np.array([0.4, -1.1])
-        assert np.array_equal(mq.eval_basis(back, x), mq.eval_basis(basis, x))
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            mq.basis_from_json("{}")

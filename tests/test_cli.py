@@ -130,7 +130,7 @@ class TestQuadratureCommand:
         assert rule.converged
         assert rule.residual_norm <= 1e-8
         assert rule.n_nodes == 2
-        nodes = mq.nodes_from_csv((tmp_path / "nodes.csv").read_text())
+        nodes = np.loadtxt(tmp_path / "nodes.csv", delimiter=",", ndmin=2)
         assert np.array_equal(nodes, rule.nodes)
 
     def test_one_dimensional_order_four_gives_the_five_point_rule(self, cfg1, tmp_path):
@@ -141,7 +141,8 @@ class TestQuadratureCommand:
 
     def test_unreachable_tolerance_exits_nonzero(self, cfg1, tmp_path, monkeypatch, capsys):
         def unreachable(basis, gm, cfg):
-            raise mq.IncreasePhaseError(M=70, cap=60, last_residual=1e-17)
+            raise mq.IncreasePhaseError(M=70, cap=60, last_residual=1e-17, cloud_size=60,
+                                        cloud_residual=1e-17, tol=1e-30)
 
         monkeypatch.setattr("mixquad.quadrature.adaptive_rule", unreachable)
         code = main(["quadrature", "--config", str(cfg1), "--out", str(tmp_path), "--order", "1"])
@@ -181,7 +182,7 @@ class TestSurrogateCommand:
         (tmp_path / "rule.json").write_bytes((pipeline_out / "rule.json").read_bytes())
         rule = mq.rule_from_json((tmp_path / "rule.json").read_text())
         values = tmp_path / "values.csv"
-        values.write_text(mq.values_to_csv(np.full(rule.n_nodes, 7.0)))
+        values.write_text("7.0\n" * rule.n_nodes)
         res = run_cli(
             "surrogate", "--config", cfg2, "--out", tmp_path, "--values", values
         )
@@ -227,7 +228,7 @@ class TestSurrogateCommand:
         # pipeline_out holds an order-2 rule, exact through order 4
         rule = mq.rule_from_json((pipeline_out / "rule.json").read_text())
         values = tmp_path / "values.csv"
-        values.write_text(mq.values_to_csv(np.ones(rule.n_nodes)))
+        values.write_text("1.0\n" * rule.n_nodes)
         before = (pipeline_out / "surrogate.json").read_bytes()
         res = run_cli("surrogate", "--config", cfg2, "--out", pipeline_out, "--order", 3,
                       "--values", values)
@@ -330,9 +331,28 @@ class TestBasisReuse:
         gm = mq.benchmarks.builtin_mixture("gm4")
         digest = hashlib.sha256(mq.mixture_to_json(gm).encode()).hexdigest()
         for name in ("basis_p.json", "basis_2p.json"):
-            obj = json.loads((gm4_p1 / name).read_text())
-            assert obj.pop("mixture_sha256") == digest
-            assert obj == mq.basis.basis_to_dict(mq.basis.basis_from_dict(obj))
+            text = (gm4_p1 / name).read_text()
+            assert json.loads(text)["mixture_sha256"] == digest
+            assert mq.basis_to_json(mq.basis_from_json(text), gm) == text
+
+    @pytest.mark.parametrize("stage, name", [("quadrature", "basis_2p.json"),
+                                             ("surrogate", "basis_p.json"),
+                                             ("surrogate", "rule.json"),
+                                             ("stats", "surrogate.json"),
+                                             ("sample", "mixture.json")])
+    def test_corrupt_artifact_is_named(self, gm4_p1, tmp_path, capsys, stage, name):
+        for artifact in ("basis_2p.json", "basis_p.json", "rule.json", "surrogate.json"):
+            (tmp_path / artifact).write_bytes((gm4_p1 / artifact).read_bytes())
+        config = tmp_path / "mixture.json"
+        config.write_text(mq.mixture_to_json(mq.benchmarks.builtin_mixture("gm4")))
+        text = (tmp_path / name).read_text()
+        (tmp_path / name).write_text(text[: len(text) // 2])
+        extra = {"surrogate": ["--model", "builtin:filter4"], "sample": ["--n", "10"]}
+        code = main([stage, "--config", str(config), "--order", "1", "--out", str(tmp_path),
+                     *extra.get(stage, [])])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {tmp_path / name}: malformed ")
 
     @pytest.mark.parametrize("stage", ["surrogate", "stats", "sample"])
     def test_stages_reading_artifacts_load_no_scipy(self, gm4_p1, tmp_path, stage):

@@ -76,8 +76,8 @@ class TestAssemblePhi:
         nodes = np.array([[-1.3], [0.2], [0.9]])
         phi = mq.assemble_phi(hermite2, nodes)
         assert phi.shape == (3, 3)
-        for k in range(3):
-            assert_allclose(phi[:, k], mq.eval_basis(hermite2, nodes[k]), rtol=1e-13)
+        for k, x in enumerate(nodes):
+            assert_allclose(phi[:, k], mq.eval_basis_batch(hermite2, [x])[0], rtol=1e-13)
 
 
 class TestResidual:
@@ -599,8 +599,12 @@ class TestAdaptiveRule:
         assert rule.converged and rule.n_nodes == 3
         assert rule.residual_norm <= 1e-8
 
-    def test_increase_phase_abort_is_reported(self, monkeypatch):
-        # every solve fails, so the increase phase must run past the cap
+    @pytest.mark.parametrize("tol, verdict", [
+        (1e-8, "a rule with nodes among the 30 cloud points meets the tolerance"),
+        (1e-30, "no rule with nodes among the 30 cloud points meets the tolerance"),
+    ])
+    def test_increase_phase_abort_is_reported(self, monkeypatch, tol, verdict):
+        # every solve fails after one outer step, so the increase phase runs past the cap
         solve = mq.bcd_solve
 
         def never_converges(basis, nodes, cfg):
@@ -609,11 +613,18 @@ class TestAdaptiveRule:
         monkeypatch.setattr("mixquad.quadrature.bcd_solve", never_converges)
         gm = gauss1d()
         basis = basis_for(gm, 2)
-        cfg = mq.SolverConfig(max_outer_iters=30, seed=0)
+        cfg = mq.SolverConfig(residual_tol=tol, max_outer_iters=1, seed=0)
         with pytest.raises(mq.IncreasePhaseError) as info:
             mq.adaptive_rule(basis, gm, cfg)
         assert info.value.M > info.value.cap
         assert info.value.cap == 10 * basis.size
+        assert verdict in str(info.value)
+        # one NNLS over the whole candidate cloud gives the best residual
+        X = mq.sample(gm, 10 * basis.size, 0)
+        phi = mq.assemble_phi(basis, X)
+        _, best = mq.residual(phi, mq.solve_weights(phi)[0])
+        assert info.value.cloud_residual == best
+        assert f"(best {best:.3e})" in str(info.value)
 
     def test_one_linkage_cut_for_every_increase_phase_start(self, monkeypatch):
         import mixquad.quadrature
@@ -666,27 +677,3 @@ class TestRuleValidationAndSerialization:
             mq.QuadratureRule(
                 nodes=[[0.0], [1.0]], weights=[1.0], residual_norm=0.0, basis_order=2
             )
-
-    def test_json_round_trip_is_byte_stable(self, corr2d_rule):
-        _, _, rule, _ = corr2d_rule
-        text = mq.rule_to_json(rule)
-        back = mq.rule_from_json(text)
-        assert mq.rule_to_json(back) == text
-        assert np.array_equal(back.nodes, rule.nodes)
-        assert np.array_equal(back.weights, rule.weights)
-        assert back.converged == rule.converged
-        assert back.basis_order == rule.basis_order
-        assert back.seed == rule.seed
-
-    def test_malformed_rule_json_rejected(self):
-        with pytest.raises(ValueError, match="malformed"):
-            mq.rule_from_json("{\"nodes\": [[0.0]]}")
-
-    def test_nodes_csv_round_trip(self, corr2d_rule):
-        _, _, rule, _ = corr2d_rule
-        text = mq.nodes_to_csv(rule.nodes)
-        assert np.array_equal(mq.nodes_from_csv(text), rule.nodes)
-
-    def test_nodes_csv_skips_comments_and_blanks(self):
-        text = "# header\n\n1.5,2.5\n# more\n-0.25,0.75\n"
-        assert np.array_equal(mq.nodes_from_csv(text), [[1.5, 2.5], [-0.25, 0.75]])
