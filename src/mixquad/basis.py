@@ -58,67 +58,65 @@ class DegenerateBasisError(ValueError):
 
 @dataclass(frozen=True)
 class MultiIndex:
-    """Monomial exponent vector alpha with its total order |alpha|."""
+    """Monomial exponent vector alpha."""
 
     exponents: tuple
 
-    @property
-    def total_order(self):
-        return int(sum(self.exponents))
 
-
-def enumerate_indices(d, q):
-    """All multi-indices with |alpha| <= q in graded-lexicographic order.
-
-    Within a grade, ties are broken by comparing exponent vectors left to
-    right with the higher exponent first, so for d=2, q=1 the order is
-    (0,0), (1,0), (0,1). This convention is frozen: node and coefficient
-    files depend on it.
-
-    Parameters
-    ----------
-    d : int
-        Dimension (number of variables), >= 1.
-    q : int
-        Maximum total order, >= 0.
-
-    Returns
-    -------
-    list of MultiIndex, of length binom(d + q, d).
-    """
+def _index_count(d, q):
+    """binom(d + q, d), the number of multi-indices with |alpha| <= q in d dimensions."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if q < 0:
         raise ValueError(f"max order must be >= 0, got {q}")
-    out = []
+    return comb(d + q, d)
 
-    def rec(prefix, rem, slots):
-        if slots == 1:
-            out.append(prefix + (rem,))
-            return
-        for k in range(rem, -1, -1):
-            rec(prefix + (k,), rem - k, slots - 1)
 
-    for t in range(q + 1):
-        rec((), t, d)
-    assert len(out) == comb(d + q, d)
-    return [MultiIndex(a) for a in out]
+def _graded_lex(d, q):
+    """All multi-indices with |alpha| <= q, as a read-only (binom(d + q, d), d) array.
+
+    Graded-lexicographic order: by total order, then within a grade by
+    comparing exponent vectors left to right with the higher exponent first,
+    so for d=2, q=1 the rows are (0,0), (1,0), (0,1). This convention is
+    frozen: node and coefficient files depend on it. Grade t is built from
+    grade t - 1 as alpha = beta + e_i, with i the first nonzero coordinate of
+    alpha: the betas zero before coordinate i are the last
+    binom(d - i + t - 2, t - 1) rows of grade t - 1, in order.
+    """
+    _index_count(d, q)  # rejects d < 1 and q < 0
+    unit = np.eye(d, dtype=int)
+    grades = [np.zeros((1, d), dtype=int)]
+    for t in range(1, q + 1):
+        below = grades[-1]
+        grades.append(np.concatenate(
+            [below[len(below) - comb(d - i + t - 2, t - 1):] + unit[i] for i in range(d)]
+        ))
+    E = np.concatenate(grades)
+    E.flags.writeable = False
+    return E
+
+
+def enumerate_indices(d, q):
+    """All multi-indices with |alpha| <= q in graded-lex order (see _graded_lex), as a list."""
+    return [MultiIndex(tuple(alpha)) for alpha in _graded_lex(d, q).tolist()]
 
 
 @dataclass(frozen=True, eq=False)
 class OrthoBasis:
     """Orthonormal basis Psi_j = sum_{i<=j} C[j,i] * p_i over graded-lex monomials p_i.
 
+    The monomials are those of _graded_lex(dim, order); the exponent, parent
+    and prefix tables are derived from (dim, order).
+
     Attributes
     ----------
     dim : int
     order : int
         Maximum total order q of included basis functions.
-    indices : tuple of MultiIndex
-        All |alpha| <= order in canonical order; length binom(dim+order, dim).
     coeff_matrix : ndarray, shape (N, N)
-        Lower triangular with strictly positive diagonal; row j holds the
-        monomial coefficients of Psi_j. Row 0 is e_1 (Psi_1 is constant 1).
+        N = binom(dim + order, dim). Lower triangular with strictly positive
+        diagonal; row j holds the monomial coefficients of Psi_j. Row 0 is
+        e_1 (Psi_1 is constant 1).
     gram_residual : float
         Achieved max |E[Psi_i Psi_j] - delta_ij| under the exact moments
         the basis was built from.
@@ -126,13 +124,18 @@ class OrthoBasis:
 
     dim: int
     order: int
-    indices: tuple
     coeff_matrix: np.ndarray
     gram_residual: float
 
     def __post_init__(self):
-        E = np.array([mi.exponents for mi in self.indices], dtype=int)
-        E.flags.writeable = False
+        # checked before the tables are built, whose size the order sets
+        N = _index_count(self.dim, self.order)
+        if np.shape(self.coeff_matrix) != (N, N):
+            raise ValueError(
+                f"coeff_matrix has shape {np.shape(self.coeff_matrix)}, expected ({N}, {N}) "
+                f"for dim {self.dim} and order {self.order}"
+            )
+        E = _graded_lex(self.dim, self.order)
         object.__setattr__(self, "_exponents", E)
         # rows with alpha_a,i = 0 point at a itself, which the derivative
         # multiplies by alpha_a,i = 0
@@ -151,8 +154,13 @@ class OrthoBasis:
         object.__setattr__(self, "_prefixes", prefix)
 
     @property
+    def indices(self):
+        """The multi-indices of the monomials, as a tuple of MultiIndex."""
+        return tuple(enumerate_indices(self.dim, self.order))
+
+    @property
     def size(self):
-        return len(self.indices)
+        return len(self._exponents)
 
     def exponent_matrix(self):
         """Exponents as a read-only (N, dim) integer array."""
@@ -165,7 +173,7 @@ def _tails(E):
 
 
 def _graded_lex_rank(T):
-    """Positions in enumerate_indices order of exponent vectors given by their tails.
+    """Positions in graded-lex order of exponent vectors given by their tails.
 
     rank(alpha) = sum_j binom(T[j] + d - j - 1, d - j): the j = 0 term counts
     the indices of lower total order, term j >= 1 those of the same order
@@ -188,13 +196,9 @@ def _parent_table(E):
 
 def _moment_gram(moments, E):
     """Gram matrix of monomials, G[a,b] = E[xi^(alpha_a + alpha_b)]."""
-    d = E.shape[1]
-    flat = np.array(
-        [moments.values[mi.exponents] for mi in enumerate_indices(d, 2 * int(E.sum(1).max()))]
-    )
     # the tails of alpha_a + alpha_b are the sums of their tails
     T = _tails(E)
-    return flat[_graded_lex_rank(T[:, :, None] + T[:, None, :])]
+    return moments.array[_graded_lex_rank(T[:, :, None] + T[:, None, :])]
 
 
 @cache
@@ -271,21 +275,23 @@ def gram_schmidt(moments, d, q):
     DegenerateBasisError
         If some E[psi_hat_j^2] <= 1e-12, with the first offending index j.
     ValueError
-        If the moment table is too short or the achieved orthonormality
-        residual exceeds 1e-8.
+        If the moment table has another dimension or is too short, or the
+        achieved orthonormality residual exceeds 1e-8.
     """
     # imported here: evaluating or reading a basis must not load scipy
     from scipy.linalg import solve_triangular
     from scipy.linalg.lapack import dpotrf
 
+    if moments.dim != d:
+        raise ValueError(f"moment table has dimension {moments.dim}, basis dimension is {d}")
     if moments.max_order < 2 * q:
         raise ValueError(
             f"moment table covers order {moments.max_order}, "
             f"need {2 * q} for a basis of order {q}"
         )
-    idx = enumerate_indices(d, q)
-    N = len(idx)
-    G = _moment_gram(moments, np.array([mi.exponents for mi in idx]))
+    E = _graded_lex(d, q)
+    N = len(E)
+    G = _moment_gram(moments, E)
     L, info = dpotrf(G, lower=1, clean=1)
     norm2 = np.diag(L) ** 2
     if info > 0:  # LAPACK stopped at a non-positive pivot and left it in place
@@ -302,13 +308,7 @@ def gram_schmidt(moments, d, q):
             f"orthonormality residual {gram_residual:.3e} exceeds "
             f"{ORTHONORMALITY_TOL:g}; moment matrix too ill-conditioned"
         )
-    return OrthoBasis(
-        dim=d,
-        order=q,
-        indices=tuple(idx),
-        coeff_matrix=C,
-        gram_residual=gram_residual,
-    )
+    return OrthoBasis(dim=d, order=q, coeff_matrix=C, gram_residual=gram_residual)
 
 
 def _points(basis, xs):

@@ -137,8 +137,8 @@ def cmd_surrogate(args):
     values = evaluate_model(adapter, rule.nodes)
     surr = project(rule, basis_p, values, model_name=adapter.describe())
     _write(out / "surrogate.json", rules.surrogate_to_json(surr))
-    rows = [(j, " ".join(map(str, mi.exponents)), c, abs(c))
-            for j, (mi, c) in enumerate(zip(basis_p.indices, surr.coefficients.tolist()))]
+    rows = [(j, " ".join(map(str, alpha)), c, abs(c)) for j, (alpha, c) in
+            enumerate(zip(basis_p.exponent_matrix().tolist(), surr.coefficients.tolist()))]
     header = ("index", "exponents", "coefficient", "magnitude")
     _write(out / "coefficients.csv", rules.csv_text([header, *rows]))
     mean, _, std = statistics(surr)

@@ -8,11 +8,13 @@ statistics).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
+from types import MappingProxyType
 
 import numpy as np
 
-from .basis import _parent_table, enumerate_indices
+from .basis import _graded_lex, _parent_table
 
 __all__ = [
     "GaussianMixture",
@@ -41,9 +43,10 @@ class MomentOverflowError(ValueError):
 class GaussianMixture:
     """Finite Gaussian mixture sum_k pi_k N(mu_k, Sigma_k) on R^d.
 
-    Immutable after construction. Validation is strict: weights must form a
-    probability vector, every covariance must be symmetric and admit a
-    Cholesky factorization, and all components must share one dimension.
+    Immutable after construction. Validation is strict: every number must be
+    finite, weights must form a probability vector, every covariance must be
+    symmetric and admit a Cholesky factorization, and all components must
+    share one dimension.
     Error messages name the offending component so config mistakes are easy
     to trace.
     """
@@ -52,6 +55,9 @@ class GaussianMixture:
         w = np.asarray(mix_weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("mix_weights must be a nonempty vector")
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            raise ValueError(f"component {bad[0]}: weight {w[bad[0]]} is not finite")
         if np.any(w < 0):
             raise ValueError("mix_weights must be nonnegative")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
@@ -70,6 +76,8 @@ class GaussianMixture:
                 raise ValueError(f"component {k}: mean must be {want}, got shape {m.shape}")
             if S.shape != (d, d):
                 raise ValueError(f"component {k}: covariance must be {d}x{d}, got {S.shape}")
+            if not (np.isfinite(m).all() and np.isfinite(S).all()):
+                raise ValueError(f"component {k}: mean and covariance must be finite")
             asym = np.abs(S - S.T).max() if S.size else 0.0
             if asym > SYMMETRY_TOL:
                 raise ValueError(
@@ -116,12 +124,19 @@ class GaussianMixture:
 class MomentTable:
     """Complete table of raw moments E[xi^gamma] for all |gamma| <= max_order.
 
-    values maps exponent tuples to floats; the zero index is always present
-    with value exactly 1.
+    array holds the moments in the graded-lex order of basis._graded_lex(dim,
+    max_order); array[0], the moment of the zero index, is exactly 1.
     """
 
+    dim: int
     max_order: int
-    values: dict
+    array: np.ndarray
+
+    @cached_property
+    def values(self):
+        """Read-only mapping from exponent tuples to moments, in array order."""
+        keys = map(tuple, _graded_lex(self.dim, self.max_order).tolist())
+        return MappingProxyType(dict(zip(keys, self.array.tolist())))
 
     def __getitem__(self, gamma):
         return self.values[tuple(gamma)]
@@ -206,15 +221,11 @@ def raw_moments(gm, max_order):
         At the first multi-index, in graded-lex order, of the first component
         whose moment leaves the finite float range.
     """
-    if max_order < 0:
-        raise ValueError(f"max_order must be >= 0, got {max_order}")
-    keys = [mi.exponents for mi in enumerate_indices(gm.dim, max_order)]
-    E = np.array(keys)
+    E = _graded_lex(gm.dim, max_order)
     parent = _parent_table(E)
-    total = np.zeros(len(keys))
+    total = np.zeros(len(E))
     for k in range(gm.n_components):
         m = _gaussian_moments(gm.means[k], gm.covariances[k], E, parent, k)
         total = total + gm.mix_weights[k] * m
-    values = dict(zip(keys, total.tolist()))
-    values[(0,) * gm.dim] = 1.0
-    return MomentTable(max_order=max_order, values=values)
+    total[0] = 1.0
+    return MomentTable(dim=gm.dim, max_order=max_order, array=total)

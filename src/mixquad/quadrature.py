@@ -66,8 +66,8 @@ class SolverConfig:
     max_gn_backtracks: int = 20
 
     def __post_init__(self):
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be > 0")
+        if not 0 < self.residual_tol < np.inf:
+            raise ValueError(f"residual_tol must be finite and > 0, got {self.residual_tol!r}")
 
 
 def assemble_phi(basis, nodes):
@@ -410,8 +410,7 @@ def _gauss_nodes(basis, gm):
     Returned as an (n, 1) array.
     """
     n = basis.order // 2 + 1
-    table = raw_moments(gm, 2 * n - 1)
-    m = np.array([table[(k,)] for k in range(2 * n)])
+    m = raw_moments(gm, 2 * n - 1).array
     C = basis.coeff_matrix[:n, :n]
     H1 = m[1:][np.add.outer(np.arange(n), np.arange(n))]
     return np.linalg.eigvalsh(C @ H1 @ C.T)[:, None]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import MultiIndex, OrthoBasis
+from .basis import OrthoBasis
 from .distribution import GaussianMixture
 
 __all__ = ["QuadratureRule", "Surrogate", "IncreasePhaseError", "mixture_to_json",
@@ -152,13 +152,18 @@ def _basis_dict(basis):
 
 
 def _basis(obj):
-    return OrthoBasis(
+    basis = OrthoBasis(
         dim=int(obj["dim"]),
         order=int(obj["order"]),
-        indices=tuple(MultiIndex(tuple(int(e) for e in a)) for a in obj["indices"]),
         coeff_matrix=np.array(obj["coeff_matrix"], dtype=float),
         gram_residual=float(obj["gram_residual"]),
     )
+    if obj["indices"] != basis.exponent_matrix().tolist():
+        raise ValueError(
+            f"indices are not the graded-lex multi-indices of dim {basis.dim} "
+            f"and order {basis.order}"
+        )
+    return basis
 
 
 def basis_to_json(basis, mixture=None):

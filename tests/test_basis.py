@@ -11,10 +11,13 @@ import mixquad as mq
 from mixquad import benchmarks
 from mixquad.basis import (
     _blas_thread_controls,
+    _graded_lex,
+    _graded_lex_rank,
     _jacobian,
     _moment_gram,
     _monomials,
     _one_blas_thread,
+    _tails,
 )
 from mixquad.collocation import EVAL_CHUNK
 
@@ -58,19 +61,22 @@ class TestEnumerateIndices:
         assert len(mq.enumerate_indices(6, 4)) == comb(10, 4)
         assert len(mq.enumerate_indices(1, 7)) == 8
 
-    def test_matches_brute_force_enumeration(self):
-        d, q = 3, 4
+    @pytest.mark.parametrize("d, q", [(1, 6), (2, 5), (3, 4), (6, 3)])
+    def test_matches_brute_force_enumeration(self, d, q):
         brute = [g for g in product(range(q + 1), repeat=d) if sum(g) <= q]
         brute.sort(key=lambda g: (sum(g), tuple(-e for e in g)))
         got = [mi.exponents for mi in mq.enumerate_indices(d, q)]
         assert got == brute
+        # the rank formula inverts the enumeration
+        E = _graded_lex(d, q)
+        assert np.array_equal(_graded_lex_rank(_tails(E)), np.arange(len(E)))
 
     def test_graded_with_descending_tiebreak(self):
         out = mq.enumerate_indices(4, 3)
-        totals = [mi.total_order for mi in out]
+        totals = [sum(mi.exponents) for mi in out]
         assert totals == sorted(totals)
         for a, b in zip(out, out[1:]):
-            if a.total_order == b.total_order:
+            if sum(a.exponents) == sum(b.exponents):
                 assert a.exponents > b.exponents
 
     def test_rejects_bad_arguments(self):
@@ -156,12 +162,16 @@ class TestGramSchmidt:
         # and xi^2 - 1 vanishes (zero pivot); 0.5 is no measure (negative
         # pivot); 1 + 1e-13 leaves a positive pivot below the tolerance
         for m4 in (1.0, 0.5, 1.0 + 1e-13):
-            values = {(0,): 1.0, (1,): 0.0, (2,): 1.0, (3,): 0.0, (4,): m4}
-            table = mq.MomentTable(max_order=4, values=values)
+            table = mq.MomentTable(dim=1, max_order=4, array=np.array([1.0, 0.0, 1.0, 0.0, m4]))
             with pytest.raises(mq.DegenerateBasisError) as info:
                 mq.gram_schmidt(table, 1, 2)
             assert info.value.index == 2, m4
             assert info.value.norm2 <= 1e-12, m4
+
+    def test_moment_table_of_another_dimension_rejected(self):
+        mom = mq.raw_moments(corr2d(), 4)
+        with pytest.raises(ValueError, match="dimension 2, basis dimension is 1"):
+            mq.gram_schmidt(mom, 1, 2)
 
     def test_insufficient_moment_order_rejected(self):
         mom = mq.raw_moments(gauss1d(), 4)
@@ -222,7 +232,7 @@ class TestEvalBasis:
         gm = benchmarks.builtin_mixture(name)
         for q in range(1, 7):
             idx = mq.enumerate_indices(gm.dim, q)
-            basis = mq.OrthoBasis(gm.dim, q, tuple(idx), np.eye(len(idx)), 0.0)
+            basis = mq.OrthoBasis(gm.dim, q, np.eye(len(idx)), 0.0)
             for n in (1, 36, 2 * EVAL_CHUNK + 3):
                 X = mq.sample(gm, n, seed=q)
                 mono = _monomials(basis, X)
@@ -293,7 +303,7 @@ class TestEvalBasisJacobian:
     @pytest.mark.parametrize("d, q", [(1, 5), (2, 4), (6, 4)])
     def test_parent_table_points_at_lowered_exponent(self, d, q):
         idx = mq.enumerate_indices(d, q)
-        basis = mq.OrthoBasis(d, q, tuple(idx), np.eye(len(idx)), 0.0)
+        basis = mq.OrthoBasis(d, q, np.eye(len(idx)), 0.0)
         E = basis.exponent_matrix()
         parent = basis._parents
         assert parent.shape == (len(idx), d) and not parent.flags.writeable
@@ -305,7 +315,7 @@ class TestEvalBasisJacobian:
     @pytest.mark.parametrize("d, q", [(1, 5), (2, 4), (6, 4)])
     def test_prefix_table_points_at_alpha_without_its_last_coordinate(self, d, q):
         idx = mq.enumerate_indices(d, q)
-        basis = mq.OrthoBasis(d, q, tuple(idx), np.eye(len(idx)), 0.0)
+        basis = mq.OrthoBasis(d, q, np.eye(len(idx)), 0.0)
         E = basis.exponent_matrix()
         prefix = basis._prefixes
         assert prefix.shape == (len(idx), 2) and not prefix.flags.writeable

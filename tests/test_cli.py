@@ -150,6 +150,14 @@ class TestQuadratureCommand:
         assert code == 1
         assert "error:" in err and "increase phase" in err
 
+    def test_nan_tolerance_is_rejected(self, cfg1, tmp_path, capsys):
+        code = main(["quadrature", "--config", str(cfg1), "--out", str(tmp_path),
+                     "--order", "1", "--tol", "nan"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: residual_tol must be finite and > 0, got nan")
+        assert not (tmp_path / "rule.json").exists()
+
     def test_rerun_is_byte_identical(self, cfg2, tmp_path):
         blobs = []
         for _ in range(2):
@@ -334,6 +342,24 @@ class TestBasisReuse:
             text = (gm4_p1 / name).read_text()
             assert json.loads(text)["mixture_sha256"] == digest
             assert mq.basis_to_json(mq.basis_from_json(text), gm) == text
+
+    @pytest.mark.parametrize("field", ["coeff_matrix", "indices"],
+                             ids=["row-dropped", "indices-swapped"])
+    def test_inconsistent_basis_file_is_rejected_on_read(self, gm4_p1, tmp_path, capsys, field):
+        (tmp_path / "rule.json").write_bytes((gm4_p1 / "rule.json").read_bytes())
+        obj = json.loads((gm4_p1 / "basis_p.json").read_text())
+        if field == "coeff_matrix":
+            obj["indices"].pop()
+            obj["coeff_matrix"].pop()
+        else:
+            obj["indices"][1], obj["indices"][2] = obj["indices"][2], obj["indices"][1]
+        (tmp_path / "basis_p.json").write_text(json.dumps(obj))
+        code = main(["surrogate", "--config", "builtin:gm4", "--order", "1",
+                     "--out", str(tmp_path), "--model", "builtin:filter4"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {tmp_path / 'basis_p.json'}: {field} ")
+        assert not (tmp_path / "surrogate.json").exists()
 
     @pytest.mark.parametrize("stage, name", [("quadrature", "basis_2p.json"),
                                              ("surrogate", "basis_p.json"),

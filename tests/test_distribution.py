@@ -92,6 +92,22 @@ class TestGaussianMixtureValidation:
         with pytest.raises(ValueError, match="component 0"):
             mq.GaussianMixture([1.0], [[0.0, 0.0]], [cov_bad])
 
+    @pytest.mark.parametrize(
+        "weights, means, cov, match",
+        [
+            ([np.nan, 1.0], [0.0, 0.0], [1.0, 0.5], "component 0: weight nan"),
+            ([0.5, np.inf], [0.0, 0.0], [1.0, 0.5], "component 1: weight inf"),
+            ([0.5, 0.5], [0.0, np.nan], [1.0, 0.5], "component 1: mean"),
+            ([0.5, 0.5], [np.inf, 0.0], [1.0, 0.5], "component 0: mean"),
+            ([0.5, 0.5], [0.0, 0.0], [1.0, np.nan], "component 1: mean and covariance"),
+        ],
+        ids=["weight-nan", "weight-inf", "mean-nan", "mean-inf", "cov-nan"],
+    )
+    def test_non_finite_input_names_component(self, weights, means, cov, match):
+        # json.loads accepts NaN and Infinity, so a mixture file can carry them
+        with pytest.raises(ValueError, match=match):
+            mq.GaussianMixture(weights, [[m] for m in means], [[[c]] for c in cov])
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="component 1"):
             mq.GaussianMixture(

@@ -662,6 +662,13 @@ class TestAdaptiveRule:
         assert np.array_equal(a.weights, b.weights)
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="residual_tol must be finite and > 0"):
+            mq.SolverConfig(residual_tol=tol)
+
+
 class TestRuleValidationAndSerialization:
     def test_negative_weights_rejected_exactly(self):
         with pytest.raises(ValueError, match="nonnegative"):
