@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .basis import _graded_lex, _parent_table
+from .basis import _graded_lex, _index_count, _parent_table
 
 __all__ = [
     "GaussianMixture",
@@ -131,6 +131,14 @@ class MomentTable:
     dim: int
     max_order: int
     array: np.ndarray
+
+    def __post_init__(self):
+        N = _index_count(self.dim, self.max_order)
+        if np.shape(self.array) != (N,):
+            raise ValueError(
+                f"moment array has shape {np.shape(self.array)}, expected ({N},) "
+                f"for dim {self.dim} and max order {self.max_order}"
+            )
 
     @cached_property
     def values(self):

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from math import ceil
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import nnls
@@ -309,32 +308,139 @@ def init_nodes(gm, M, cfg):
 
 def _linkage(X, M):
     """Complete linkage of the cloud X, or None when M takes every sample."""
-    return linkage(X, method="complete") if M < len(X) else None
+    return _complete_linkage(X) if M < len(X) else None
+
+
+def _distances(X):
+    """Euclidean distances between the rows of X, condensed in pdist order.
+
+    Row i's distances to rows i + 1, ..., n - 1 fill one run of the result.
+    Blocks of n // 256 rows take their differences to all later rows at
+    once, in two temporaries of under 2% of the result. Squares are summed
+    coordinate by coordinate before the square root, as
+    scipy.spatial.distance.pdist sums them, so the result is pdist(X) bit
+    for bit.
+    """
+    n, d = X.shape
+    out = np.empty(n * (n - 1) // 2)
+    Xt = np.ascontiguousarray(X.T)
+    B = max(1, n // 256)
+    acc, tmp = np.empty((2, B * n))
+    start = 0
+    for i in range(0, n - 1, B):
+        rows, m = min(B, n - 1 - i), n - i - 1
+        sq, t = acc[: rows * m].reshape(rows, m), tmp[: rows * m].reshape(rows, m)
+        np.subtract(Xt[0, i : i + rows, None], Xt[0, i + 1 :], out=sq)
+        sq *= sq
+        for j in range(1, d):
+            np.subtract(Xt[j, i : i + rows, None], Xt[j, i + 1 :], out=t)
+            sq += np.multiply(t, t, out=t)
+        for r in range(rows):
+            out[start : start + m - r] = sq[r, r:]
+            start += m - r
+    return np.sqrt(out, out=out)
+
+
+def _complete_linkage(X):
+    """Complete linkage of the rows of X by the nearest-neighbour chain, in place.
+
+    The merge list of scipy.cluster.hierarchy.linkage(X, "complete"), which
+    runs the same chain (Murtagh 1983; Mullner 2011, arXiv:1109.2378) on a
+    private copy of pdist(X), made in one condensed buffer of the distances
+    that the merges overwrite. Slot i starts as sample i. The chain restarts
+    at the lowest live slot; its tip moves to its nearest live slot, on ties
+    the previous chain element and then the lowest index, until two slots
+    are each other's nearest. Their cluster takes the higher slot, its
+    distances the larger of the two (the Lance-Williams rule of complete
+    linkage), and the lower slot's distances become inf, so no dead slot is
+    ever nearest.
+
+    Returns
+    -------
+    (pairs, heights) : int array (n - 1, 2), float array (n - 1,)
+        Merge k joins the clusters in slots pairs[k, 0] < pairs[k, 1] at
+        distance heights[k]; merges are stably sorted by height, as scipy
+        sorts them.
+    """
+    n = len(X)
+    D = _distances(X)
+    if not np.isfinite(D.max(initial=0.0)):
+        raise ValueError("the distances between candidate samples must be finite")
+    # slot x's distance to slot i < x is D[x - 1 + col[i]]; to slots
+    # x + 1, ..., n - 1 it is the run of D from run[x] on
+    ids = np.arange(n)
+    run = ids * n - ids * (ids + 1) // 2
+    col = run - ids
+
+    def gather(x, out):
+        D[x - 1 :].take(col[:x], out=out[:x], mode="clip")
+        out[x] = np.inf
+        out[x + 1 :] = D[run[x] : run[x] + n - x - 1]
+
+    def scatter(x, values):
+        D[x - 1 :].put(col[:x], values[:x], mode="clip")
+        D[run[x] : run[x] + n - x - 1] = values[x + 1 :]
+
+    pairs = np.empty((n - 1, 2), dtype=np.intp)
+    heights = np.empty(n - 1)
+    # the rows of the chain's tip and of the element below it, which is
+    # current when no merge came after the tip was pushed
+    tip, below, current = np.empty(n), np.empty(n), False
+    chain, dead, low = [], np.zeros(n, dtype=bool), 0
+    for k in range(n - 1):
+        if not chain:
+            while dead[low]:
+                low += 1
+            chain.append(low)
+        while True:
+            x = chain[-1]
+            gather(x, tip)
+            y = int(tip.argmin())
+            if len(chain) > 1 and not tip[y] < tip[chain[-2]]:
+                y = chain[-2]
+                break
+            chain.append(y)
+            tip, below, current = below, tip, True
+        del chain[-2:]
+        a, b = (x, y) if x < y else (y, x)
+        pairs[k] = a, b
+        heights[k] = tip[y]
+        if not current:
+            gather(y, below)
+        scatter(b, np.maximum(tip, below, out=tip))
+        tip.fill(np.inf)
+        scatter(a, tip)
+        dead[a] = True
+        current = False
+    order = np.argsort(heights, kind="stable")
+    return pairs[order], heights[order]
 
 
 def _centroids(X, Z, M):
-    """M start nodes from the cloud X and its linkage Z; see init_nodes."""
+    """M start nodes from the cloud X and its linkage Z = (pairs, heights); see init_nodes."""
     if M > len(X):
         raise ValueError(f"M = {M} exceeds candidate_count = {len(X)}")
     if M == len(X):
         return X.copy()
-    labels = _cut_labels(Z, M)
+    labels = _cut_labels(Z[0], M)
     return np.array([X[labels == c].mean(axis=0) for c in range(M)])
 
 
-def _cut_labels(Z, M):
-    """Cluster of each sample after the first n - M merges of the linkage Z.
+def _cut_labels(pairs, M):
+    """Cluster of each sample after the first n - M merges of a linkage.
 
-    Cluster n + k is the one row k of Z forms; pointer doubling takes each
-    sample to its root. Clusters are numbered by their smallest member, which
-    is scipy's own tree-cut numbering whenever the merge heights are distinct.
+    Merge k moves the cluster of slot pairs[k, 0] into the higher slot
+    pairs[k, 1], and no slot is emptied twice, so up[x] = y over those
+    merges is a forest whose roots pointer doubling finds. Clusters are
+    numbered by their smallest member, which is cut_tree's numbering
+    whenever the merge heights are distinct.
     """
-    n = len(Z) + 1
-    up = np.arange(2 * n - M)
-    up[Z[: n - M, :2].astype(int).ravel()] = np.repeat(np.arange(n, 2 * n - M), 2)
+    n = len(pairs) + 1
+    up = np.arange(n)
+    up[pairs[: n - M, 0]] = pairs[: n - M, 1]
     while not np.array_equal(up, up[up]):
         up = up[up]
-    _, first, root = np.unique(up[:n], return_index=True, return_inverse=True)
+    _, first, root = np.unique(up, return_index=True, return_inverse=True)
     return np.searchsorted(np.sort(first), first)[root]
 
 

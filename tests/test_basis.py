@@ -168,6 +168,12 @@ class TestGramSchmidt:
             assert info.value.index == 2, m4
             assert info.value.norm2 <= 1e-12, m4
 
+    def test_moment_table_of_wrong_length_rejected(self):
+        # too short a table used to end in an IndexError inside gram_schmidt
+        msg = r"moment array has shape \(3,\), expected \(5,\) for dim 1 and max order 4"
+        with pytest.raises(ValueError, match=msg):
+            mq.MomentTable(dim=1, max_order=4, array=np.array([1.0, 0.0, 1.0]))
+
     def test_moment_table_of_another_dimension_rejected(self):
         mom = mq.raw_moments(corr2d(), 4)
         with pytest.raises(ValueError, match="dimension 2, basis dimension is 1"):

@@ -397,6 +397,19 @@ class TestBasisReuse:
         assert proc.stdout.strip() == "[]"
 
 
+    def test_quadrature_stage_loads_no_scipy_cluster(self, gm4_p1, tmp_path):
+        (tmp_path / "basis_2p.json").write_bytes((gm4_p1 / "basis_2p.json").read_bytes())
+        argv = ["quadrature", "--config", "builtin:gm4", "--order", "1", "--out", str(tmp_path)]
+        code = (
+            "import sys; from mixquad.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.cluster')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestStatsCommand:
     def test_stats_match_the_stored_surrogate(self, cfg2, pipeline_out):
         res = run_cli("stats", "--config", cfg2, "--out", pipeline_out)

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.cluster.hierarchy import cut_tree, linkage
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import nnls
+from scipy.spatial.distance import pdist
 
 import mixquad as mq
 from mixquad.basis import _monomials
@@ -19,8 +20,10 @@ from mixquad.quadrature import (
     LINE_SEARCH_SHRINK,
     STALL_LIMIT,
     _certified_worse,
+    _complete_linkage,
     _cut_labels,
     _damped_step,
+    _distances,
 )
 
 
@@ -519,16 +522,70 @@ class TestInitNodes:
             assert np.array_equal(got, ref), (seed, M)
 
     def test_tied_lattice_cuts_into_m_nonempty_clusters(self):
-        # tied merge heights: the merge order, and so the numbering, may
-        # differ from cut_tree's, but every cut keeps M nonempty clusters
-        # numbered by their smallest member
+        # tied merge heights: the merge list is scipy's row for row, so every
+        # cut is that of scipy's merge list (cut_tree reorders tied merges
+        # itself, and its cut can differ between two tied merges)
         axes = np.meshgrid(np.arange(5.0), np.arange(5.0), np.arange(3.0), indexing="ij")
         X = np.stack(axes, axis=-1).reshape(-1, 3)
+        pairs, heights = _complete_linkage(X)
         Z = linkage(X, method="complete")
+        assert np.array_equal(heights, Z[:, 2])
         for M in range(1, len(X) + 1):
-            labels, first = np.unique(_cut_labels(Z, M), return_index=True)
+            cut = _cut_labels(pairs, M)
+            assert np.array_equal(cut, scipy_cut(Z, M)), M
+            labels, first = np.unique(cut, return_index=True)
             assert np.array_equal(labels, np.arange(M))
             assert np.all(np.diff(first) > 0)
+
+
+def scipy_cut(Z, M):
+    """Cluster of each sample after the first n - M rows of a scipy linkage Z.
+
+    Row k of Z forms cluster n + k; clusters are numbered by their smallest
+    member. The reference the slot-based _cut_labels is checked against.
+    """
+    n = len(Z) + 1
+    up = np.arange(2 * n - M)
+    up[Z[: n - M, :2].astype(int).ravel()] = np.repeat(np.arange(n, 2 * n - M), 2)
+    while not np.array_equal(up, up[up]):
+        up = up[up]
+    _, first, root = np.unique(up[:n], return_index=True, return_inverse=True)
+    return np.searchsorted(np.sort(first), first)[root]
+
+
+class TestCompleteLinkage:
+    @pytest.mark.parametrize("n", [300, 700, 2100])
+    @pytest.mark.parametrize("name", ["gm4", "gm6"])
+    def test_matches_scipy_on_sampled_clouds(self, name, n):
+        # n = 2100 at seed 0 is the candidate cloud of gm6 at p=2
+        X = mq.sample(builtin_mixture(name), n, 0)
+        assert np.array_equal(_distances(X), pdist(X))
+        pairs, heights = _complete_linkage(X)
+        Z = linkage(X, method="complete")
+        assert np.array_equal(heights, Z[:, 2])
+        for M in range(1, n):
+            assert np.array_equal(_cut_labels(pairs, M), scipy_cut(Z, M)), M
+
+    def test_peak_memory_is_one_distance_buffer(self):
+        # scipy's linkage reads about 1.13 here, but tracemalloc cannot see
+        # the private copy its Cython nn_chain makes, so this pins only the
+        # in-place linkage
+        import tracemalloc
+
+        n = 1000
+        X = mq.sample(builtin_mixture("gm6"), n, 0)
+        tracemalloc.start()
+        try:
+            _complete_linkage(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * n * (n - 1) / 2
+
+    def test_non_finite_distances_rejected(self):
+        X = np.array([[0.0, 0.0], [1e200, 0.0], [1.0, 1.0]])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+            _complete_linkage(X)
 
 
 class TestAdaptiveRule:
@@ -633,18 +690,18 @@ class TestAdaptiveRule:
         basis = basis_for(gm, 4)
         cfg = mq.SolverConfig(seed=0)
         links, starts, accepted = [], [], []
-        link, solve = mixquad.quadrature.linkage, mixquad.quadrature.bcd_solve
+        link, solve = mixquad.quadrature._complete_linkage, mixquad.quadrature.bcd_solve
 
-        def counting_linkage(X, method):
+        def counting_linkage(X):
             links.append(len(X))
-            return link(X, method=method)
+            return link(X)
 
         def recording_solve(basis, nodes, cfg):
             if not accepted:
                 starts.append(np.array(nodes))
             return solve(basis, nodes, cfg)
 
-        monkeypatch.setattr("mixquad.quadrature.linkage", counting_linkage)
+        monkeypatch.setattr("mixquad.quadrature._complete_linkage", counting_linkage)
         monkeypatch.setattr("mixquad.quadrature.bcd_solve", recording_solve)
         mq.adaptive_rule(basis, gm, cfg, on_accept=accepted.append)
         assert links == [10 * basis.size]
