@@ -4,8 +4,9 @@ Pipeline: exact mixture moments -> moment-based orthonormal basis ->
 optimized nonnegative quadrature rule -> projection of a black-box model ->
 surrogate statistics and densities. See the README for the file formats and
 the command-line front end. The package re-exports the public names of its
-modules, each listed once in that module's __all__; the solver module imports
-scipy, so it is loaded on first access to one of its names.
+modules, each listed once in that module's __all__; the solver module loads
+the compiled LAPACK and NNLS routines (mixquad._lapack), so it is loaded on
+first access to one of its names.
 """
 
 import importlib

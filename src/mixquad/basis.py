@@ -10,13 +10,9 @@ monomial's parent alpha - e_i from a second such table, so all Jacobians come
 from one matrix product.
 """
 
-import ctypes
-import importlib.util
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
 from math import comb
-from pathlib import Path
 
 import numpy as np
 
@@ -201,33 +197,6 @@ def _moment_gram(moments, E):
     return moments.array[_graded_lex_rank(T[:, :, None] + T[:, None, :])]
 
 
-@cache
-def _blas_thread_controls():
-    """(get, set) thread-count functions of the OpenBLAS copies numpy and scipy bundle.
-
-    numpy's wheel ships scipy_openblas64_ (symbol suffix 64_), which runs
-    the GEMMs; scipy's ships scipy_openblas, which runs LAPACK and nnls.
-    A library without these symbols (another BLAS) contributes nothing.
-    """
-    controls = []
-    for package, suffix in (("numpy", "64_"), ("scipy", "")):
-        spec = importlib.util.find_spec(package)
-        if spec is None:
-            continue
-        libs = Path(spec.origin).parent.with_name(package + ".libs")
-        for path in sorted(libs.glob("libscipy_openblas*")):
-            lib = ctypes.CDLL(str(path))
-            try:
-                get = lib["scipy_openblas_get_num_threads" + suffix]
-                set_ = lib["scipy_openblas_set_num_threads" + suffix]
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            controls.append((get, set_))
-    return tuple(controls)
-
-
 @contextmanager
 def _one_blas_thread():
     """Run the block with every bundled OpenBLAS at one thread, then restore.
@@ -237,7 +206,9 @@ def _one_blas_thread():
     the thread count changes the last bits of a product and with them the
     basis and the rule; pinned, both are the same at any setting.
     """
-    controls = _blas_thread_controls()
+    from ._lapack import blas_thread_controls  # loads the libraries on first use
+
+    controls = blas_thread_controls()
     saved = [get() for get, _ in controls]
     for _, set_ in controls:
         set_(1)
@@ -256,8 +227,10 @@ def gram_schmidt(moments, d, q):
     off the moment table and factored once, G = L L^T; then Psi = L^{-1} p
     is the Gram-Schmidt orthonormalization of p, and the pivot L[j,j]^2 is
     E[psi_hat_j^2], the squared norm of p_j minus its projection on p_0..p_{j-1}.
-    The bundled OpenBLAS runs at one thread meanwhile (_one_blas_thread), so
-    the basis does not depend on the thread count.
+    LAPACK dpotrf factors G and dtrtrs inverts L, the routines of scipy's
+    dpotrf and solve_triangular, called through _lapack. The bundled
+    OpenBLAS runs at one thread meanwhile (_one_blas_thread), so the basis
+    does not depend on the thread count.
 
     Parameters
     ----------
@@ -278,9 +251,9 @@ def gram_schmidt(moments, d, q):
         If the moment table has another dimension or is too short, or the
         achieved orthonormality residual exceeds 1e-8.
     """
-    # imported here: evaluating or reading a basis must not load scipy
-    from scipy.linalg import solve_triangular
-    from scipy.linalg.lapack import dpotrf
+    # imported here: evaluating or reading a basis loads neither LAPACK nor
+    # the NNLS extension
+    from . import _lapack
 
     if moments.dim != d:
         raise ValueError(f"moment table has dimension {moments.dim}, basis dimension is {d}")
@@ -292,7 +265,11 @@ def gram_schmidt(moments, d, q):
     E = _graded_lex(d, q)
     N = len(E)
     G = _moment_gram(moments, E)
-    L, info = dpotrf(G, lower=1, clean=1)
+    # factored in a copy, since the residual below needs G; the strict upper
+    # triangle, which dpotrf leaves holding G's entries, is zeroed so that L
+    # is the factor (scipy's dpotrf with clean=1)
+    L, info = _lapack.dpotrf(np.array(G, order="F"), lower=True)
+    L[np.triu_indices(N, 1)] = 0.0
     norm2 = np.diag(L) ** 2
     if info > 0:  # LAPACK stopped at a non-positive pivot and left it in place
         norm2 = np.append(norm2[: info - 1], L[info - 1, info - 1])
@@ -301,7 +278,7 @@ def gram_schmidt(moments, d, q):
         raise DegenerateBasisError(int(bad[0]), float(norm2[bad[0]]))
     # C order: a Fortran-ordered copy would evaluate differently in the last
     # bits from the C-ordered matrix that basis_from_json reads back
-    C = np.ascontiguousarray(solve_triangular(L, np.eye(N), lower=True))
+    C = np.ascontiguousarray(_lapack.solve_triangular(L, np.eye(N), lower=True))
     gram_residual = float(np.abs(C @ G @ C.T - np.eye(N)).max())
     if gram_residual > ORTHONORMALITY_TOL:
         raise ValueError(

@@ -7,17 +7,18 @@ least-squares solve in w with a damped Gauss-Newton move of the nodes; an
 adaptive driver grows the node count until the solve converges, then prunes
 low-weight nodes while convergence holds. In one dimension the minimal rule
 is the Gauss rule of the measure, so the driver starts there from the
-eigenvalues of the Jacobi matrix (Golub & Welsch 1969).
+eigenvalues of the Jacobi matrix (Golub & Welsch 1969). The weight solve
+(Lawson & Hanson 1974) and the Cholesky factorizations of the node moves run
+in the compiled code of scipy's wheel, called through _lapack.
 """
 
 from dataclasses import dataclass, replace
 from math import ceil
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import nnls
+from numpy.linalg import LinAlgError
 
+from . import _lapack
 from .basis import _jacobian, _monomials, _one_blas_thread, _points
 from .basis import eval_basis_batch, eval_basis_jacobian_batch
 from .distribution import raw_moments, sample
@@ -90,7 +91,8 @@ def _unit_rhs(N):
 def solve_weights(phi):
     """Nonnegative least squares min_{w >= 0} ||phi w - e1||^2.
 
-    scipy.optimize.nnls (Lawson-Hanson active set). The returned point
+    scipy.optimize.nnls (Lawson-Hanson active set), whose compiled routine
+    _lapack.nnls calls without importing scipy.optimize. The returned point
     satisfies the KKT conditions of the convex problem: for active
     coordinates (w_i = 0) the gradient of ||phi w - e1||^2 is >= -1e-10, for
     inactive ones its magnitude is <= 1e-10 * ||phi^T e1||_inf.
@@ -100,10 +102,15 @@ def solve_weights(phi):
     (w, converged) : ndarray of shape (M,), bool
         converged is False only when the solver hits its iteration limit
         (3 * M); w is then all zeros.
+
+    Raises
+    ------
+    ValueError
+        If phi holds a NaN or an infinity.
     """
     phi = np.asarray(phi, dtype=float)
     try:
-        return nnls(phi, _unit_rhs(phi.shape[0]))[0], True
+        return _lapack.nnls(phi, _unit_rhs(phi.shape[0]))[0], True
     except RuntimeError:
         return np.zeros(phi.shape[1]), False
 
@@ -164,9 +171,11 @@ def _damped_step(J, r, lam):
     With J of shape (N, n): for n <= N solve (J^T J + lam I) d = -J^T r,
     otherwise (J J^T + lam I) y = r and d = -J^T y. LAPACK dpotrf and dpotrs
     (upper triangle, the routines and triangle of scipy's cho_factor and
-    cho_solve) work in place on the normal matrix: numpy forms it by syrk
-    and mirrors one triangle into the other, so it is exactly symmetric, its
-    transpose is the same matrix in Fortran order and no copy is made.
+    cho_solve, called through _lapack) work on the normal matrix: numpy forms
+    it by syrk and mirrors one triangle into the other, so it is exactly
+    symmetric, its transpose is the same matrix in Fortran order and dpotrf
+    factors it in place. dpotrs solves on a copy of the right-hand side,
+    which for n > N is the caller's residual r.
     Raises LinAlgError when the damped matrix is not numerically positive
     definite.
     """
@@ -176,10 +185,10 @@ def _damped_step(J, r, lam):
     else:
         A, rhs = J @ J.T, r
     A.reshape(-1)[:: len(A) + 1] += lam
-    U, info = dpotrf(A.T, lower=0, clean=0, overwrite_a=1)
+    U, info = _lapack.dpotrf(A.T, lower=False)
     if info > 0:
         raise LinAlgError(f"leading minor {info} of the damped matrix is not positive definite")
-    y, _ = dpotrs(U, rhs, lower=0)
+    y, _ = _lapack.dpotrs(U, rhs, lower=False)
     return -y if n <= N else -(J.T @ y)
 
 

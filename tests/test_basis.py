@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 
 import mixquad as mq
 from mixquad import benchmarks
+from mixquad._lapack import blas_thread_controls
 from mixquad.basis import (
-    _blas_thread_controls,
     _graded_lex,
     _graded_lex_rank,
     _jacobian,
@@ -201,6 +201,56 @@ class TestGramSchmidt:
                 assert z <= 3.5, f"({a},{b}): z={z:.2f}"
 
 
+class TestLapackRoutes:
+    """The lower Cholesky factor and its inverse on both routes against scipy's functions."""
+
+    def test_lower_cholesky_and_inverse_are_scipys(self, lapack_route):
+        from scipy.linalg import solve_triangular
+        from scipy.linalg.lapack import dpotrf
+
+        cases = [(mq.raw_moments(gm, 2 * q), gm.dim, q) for gm, q in [
+            (gauss1d(), 4), (corr2d(), 4), (benchmarks.builtin_mixture("gm4"), 3),
+            (benchmarks.builtin_mixture("gm6"), 2),
+        ]]
+        # degenerate tables (see test_degenerate_support_reported_with_index):
+        # a zero and a negative pivot stop dpotrf (info > 0), a tiny one does not
+        for m4 in (1.0, 0.5, 1.0 + 1e-13):
+            cases.append((mq.MomentTable(dim=1, max_order=4,
+                                         array=np.array([1.0, 0.0, 1.0, 0.0, m4])), 1, 2))
+        infos = []
+        for moments, d, q in cases:
+            G = _moment_gram(moments, _graded_lex(d, q))
+            eye = np.eye(len(G))
+            with _one_blas_thread():
+                L_ref, info_ref = dpotrf(G, lower=1, clean=1)
+                L, info = lapack_route.dpotrf(np.array(G, order="F"), lower=True)
+            L[np.triu_indices(len(G), 1)] = 0.0
+            infos.append(info)
+            assert info == info_ref
+            assert np.array_equal(L, L_ref)
+            if info or np.diag(L).min() ** 2 <= 1e-12:
+                with pytest.raises(mq.DegenerateBasisError) as err:
+                    mq.gram_schmidt(moments, d, q)
+                assert err.value.index == 2
+                continue
+            with _one_blas_thread():
+                C_ref = solve_triangular(L_ref, eye, lower=True)
+            assert np.array_equal(lapack_route.solve_triangular(L, eye, lower=True), C_ref)
+            assert np.array_equal(mq.gram_schmidt(moments, d, q).coeff_matrix, C_ref)
+        assert infos[-3:-1] == [3, 3] and infos[-1] == 0
+
+    def test_triangular_solve_checks_its_arguments(self, lapack_route):
+        L = np.asfortranarray(np.tril(np.ones((3, 3))))
+        bad = L.copy(order="F")
+        bad[2, 0] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            lapack_route.solve_triangular(bad, np.eye(3), lower=True)
+        singular = L.copy(order="F")
+        singular[1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="resolution failed at diagonal 1"):
+            lapack_route.solve_triangular(singular, np.eye(3), lower=True)
+
+
 class TestEvalBasis:
     def test_first_entry_is_one_everywhere(self):
         basis = mq.gram_schmidt(mq.raw_moments(corr2d(), 6), 2, 3)
@@ -268,7 +318,7 @@ class TestEvalBasis:
 
 class TestOneBlasThread:
     def test_pins_every_bundled_openblas_and_restores_it(self):
-        controls = _blas_thread_controls()
+        controls = blas_thread_controls()
         before = [get() for get, _ in controls]
         try:
             for _, set_ in controls:

@@ -397,17 +397,23 @@ class TestBasisReuse:
         assert proc.stdout.strip() == "[]"
 
 
-    def test_quadrature_stage_loads_no_scipy_cluster(self, gm4_p1, tmp_path):
-        (tmp_path / "basis_2p.json").write_bytes((gm4_p1 / "basis_2p.json").read_bytes())
-        argv = ["quadrature", "--config", "builtin:gm4", "--order", "1", "--out", str(tmp_path)]
+    @pytest.mark.parametrize("stage", ["basis", "quadrature"])
+    def test_solver_stages_load_no_scipy_package(self, tmp_path, stage):
+        # the one scipy module they load is the compiled NNLS extension, which
+        # mixquad._lapack loads from its file along with the bundled LAPACK
+        from mixquad import _lapack
+
+        if _lapack._lapack_functions() is None or _lapack._nnls_extension() is None:
+            pytest.skip("this scipy build bundles no LAPACK symbols or NNLS extension")
+        argv = [stage, "--config", "builtin:gm4", "--order", "1", "--out", str(tmp_path)]
         code = (
             "import sys; from mixquad.cli import main\n"
             f"assert main({argv!r}) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.cluster')))"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.strip() == repr([_lapack.NNLS_MODULE])
 
 
 class TestStatsCommand:

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import mixquad as mq
 from mixquad import basis, collocation, distribution, quadrature, rules
 
@@ -21,6 +23,19 @@ def test_solver_loads_on_first_use_of_its_names():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           check=True)
     assert proc.stdout.strip() == "False True"
+
+
+def test_solver_module_imports_no_scipy_package():
+    # the one scipy module it loads is the compiled NNLS extension, which
+    # mixquad._lapack loads from its file
+    from mixquad import _lapack
+
+    if _lapack._lapack_functions() is None or _lapack._nnls_extension() is None:
+        pytest.skip("this scipy build bundles no LAPACK symbols or NNLS extension")
+    code = ("import sys, mixquad.quadrature\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == repr([_lapack.NNLS_MODULE])
 
 
 def test_every_public_name_is_the_object_of_its_defining_module():

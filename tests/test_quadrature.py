@@ -13,6 +13,7 @@ from scipy.optimize import nnls
 from scipy.spatial.distance import pdist
 
 import mixquad as mq
+from mixquad import _lapack
 from mixquad.basis import _monomials
 from mixquad.benchmarks import builtin_mixture, gm4
 from mixquad.quadrature import (
@@ -158,13 +159,20 @@ class TestSolveWeights:
         def exhausted(A, b):
             raise RuntimeError("Maximum number of iterations reached.")
 
-        monkeypatch.setattr("mixquad.quadrature.nnls", exhausted)
+        monkeypatch.setattr("mixquad._lapack.nnls", exhausted)
         rng = np.random.default_rng(10)
         phi = rng.normal(size=(8, 12))
         phi[0] = 1.0
         w, ok = mq.solve_weights(phi)
         assert not ok
         assert np.all(w == 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, lapack_route, bad):
+        phi = np.ones((3, 4))
+        phi[1, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            mq.solve_weights(phi)
 
 
 class TestGaussNewtonStep:
@@ -218,7 +226,7 @@ class TestGaussNewtonStep:
         def not_positive_definite(a, **kwargs):
             return a, 1  # LAPACK info > 0: leading minor 1 not positive definite
 
-        monkeypatch.setattr("mixquad.quadrature.dpotrf", not_positive_definite)
+        monkeypatch.setattr("mixquad._lapack.dpotrf", not_positive_definite)
         nodes = np.array([[-0.9], [1.1]])
         phi = mq.assemble_phi(hermite2, nodes)
         w, _ = mq.solve_weights(phi)
@@ -269,6 +277,83 @@ class TestGaussNewtonStep:
             y = cho_solve(cho_factor(A, check_finite=False), rhs, check_finite=False)
             ref = -y if n <= N else -(J.T @ y)
             assert np.array_equal(_damped_step(J, r, lam), ref)
+
+
+class TestLapackRoutes:
+    """The routines of mixquad._lapack on both routes against scipy's public functions."""
+
+    @pytest.mark.parametrize("N, n", [(12, 5), (5, 12), (210, 105), (70, 144), (210, 210)])
+    def test_upper_cholesky_and_solve_are_scipys(self, lapack_route, N, n):
+        rng = np.random.default_rng(N + 7 * n)
+        for lam in (GN_DAMPING, 1e-2, 1.0):
+            J = rng.normal(size=(N, n))
+            r = rng.normal(size=N)
+            A, rhs = (J.T @ J, J.T @ r) if n <= N else (J @ J.T, r)
+            A[np.diag_indices_from(A)] += lam
+            ref = cho_solve(cho_factor(A, check_finite=False), rhs, check_finite=False)
+            kept = rhs.copy()
+            U, info = lapack_route.dpotrf(A.copy().T, lower=False)
+            y, _ = lapack_route.dpotrs(U, rhs, lower=False)
+            assert info == 0
+            assert np.array_equal(y, ref)
+            assert np.array_equal(rhs, kept)
+            # the solver's step, whose n > N solve must not overwrite r
+            r_kept = r.copy()
+            step = _damped_step(J, r, lam)
+            assert np.array_equal(step, -ref if n <= N else -(J.T @ ref))
+            assert np.array_equal(r, r_kept)
+
+    def test_factorization_failure_reports_the_minor(self, lapack_route):
+        A = np.array([[1.0, 2.0], [2.0, 1.0]])
+        assert lapack_route.dpotrf(A.T, lower=False)[1] == 2
+        with pytest.raises(LinAlgError, match="leading minor 1 "):
+            _damped_step(np.eye(2), np.ones(2), -3.0)
+
+    def test_nnls_is_scipys(self, lapack_route):
+        rng = np.random.default_rng(13)
+        problems = []
+        for m, n in [(12, 20), (20, 12), (1, 5), (30, 30)]:
+            for _ in range(10):
+                problems.append((rng.normal(size=(m, n)), rng.normal(size=m)))
+        # the solver's problems: the gm4 order-4 basis at clustered starts
+        gm = gm4()
+        basis = basis_for(gm, 4)
+        for M in (15, 70, 140):
+            phi = mq.assemble_phi(basis, mq.init_nodes(gm, M, mq.SolverConfig(seed=1)))
+            problems.append((phi, np.eye(len(phi))[0]))
+        for A, b in problems:
+            x_ref, rnorm_ref = nnls(A, b)
+            x, rnorm = lapack_route.nnls(A, b)
+            assert np.array_equal(x, x_ref)
+            assert rnorm == rnorm_ref
+            if b[0] == 1.0 and not b[1:].any():
+                assert np.array_equal(mq.solve_weights(A)[0], x_ref)
+
+    def test_nnls_checks_its_arguments(self, lapack_route):
+        A = np.ones((3, 2))
+        for bad_A, bad_b, message in [
+            (np.ones(3), np.ones(3), "2D"),
+            (A, np.ones((3, 2)), "1D"),
+            (A, np.ones(4), "Incompatible dimensions"),
+            (A, np.array([1.0, np.nan, 1.0]), "infs or NaNs"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                lapack_route.nnls(bad_A, bad_b)
+        x, _ = lapack_route.nnls(A, np.ones((3, 1)))
+        assert x.shape == (2,)
+
+    def test_direct_nnls_reports_its_iteration_limit(self, monkeypatch):
+        calls = []
+
+        def limited(A, b, maxiter):
+            calls.append(maxiter)
+            return np.ones(A.shape[1]), 0.0, 3
+
+        monkeypatch.setattr(_lapack, "nnls", _lapack._direct_nnls(SimpleNamespace(nnls=limited)))
+        w, ok = mq.solve_weights(np.ones((4, 7)))
+        assert not ok
+        assert np.array_equal(w, np.zeros(7))
+        assert calls == [21]
 
 
 def _screen_cases(rng):
@@ -471,7 +556,7 @@ class TestBcdSolve:
         def exhausted(A, b):
             raise RuntimeError("Maximum number of iterations reached.")
 
-        monkeypatch.setattr("mixquad.quadrature.nnls", exhausted)
+        monkeypatch.setattr("mixquad._lapack.nnls", exhausted)
         rule = mq.bcd_solve(hermite2, np.array([[-0.9], [1.1]]), mq.SolverConfig())
         assert not rule.converged
         assert len(rule.history) == 1
