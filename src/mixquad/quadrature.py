@@ -13,7 +13,7 @@ in the compiled code of scipy's wheel, called through _lapack.
 """
 
 from dataclasses import dataclass, replace
-from math import ceil
+from math import ceil, comb
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -457,13 +457,33 @@ def _cut_labels(pairs, M):
 def adaptive_rule(basis, gm, cfg, on_accept=None):
     """Full node-count adaptation: init, increase until converged, prune.
 
-    Step 1 starts from M0 = ceil(N_2p / (d + 1)) nodes, balancing unknown
-    count M (d + 1) against the N_2p exactness equations. For d = 1 that is
-    order // 2 + 1, and the start is the Gauss rule's nodes (_gauss_nodes);
-    otherwise it is M0 clustered nodes. Step 2 multiplies M by INCREASE_FACTOR until
-    bcd_solve converges, aborting past 10 * N_2p nodes; the seeded candidate
-    cloud and its linkage are built once, and each start is a fresh cut of
-    that linkage at the new M. Step 3 repeatedly deletes one node and
+    The node counts of the increase phase form the ladder M0, ceil(1.5 M0),
+    ..., with M0 = ceil(N_2p / (d + 1)) balancing unknown count M (d + 1)
+    against the N_2p exactness equations. Step 1 picks the first rung. For
+    d = 1 it is M0 = order // 2 + 1, and the start is the Gauss rule's nodes
+    (_gauss_nodes). For d >= 2 it skips the rungs whose outcome is known:
+
+    (a) Every rung with M < N_k = binom(d + k, d), k = order // 2, by proof.
+        A rule exact through degree 2k has the N_k x N_k Gram matrix
+        G[a, b] = sum_j w_j Psi_a(x_j) Psi_b(x_j) = I, but G has rank <= M.
+        For any rule G - I = T r, with T[a, b, c] = E[Psi_a Psi_b Psi_c]
+        (a, b < N_k, c < N_2p) and r the residual, so such a rung ends with
+        ||r|| >= 1 / sigma_max(T), T read as an (N_k^2, N_2p) matrix: 0.38,
+        0.15 and 0.054 on gm4 at p = 1, 2, 3, and 0.33 and 0.12 on gm6 at
+        p = 1, 2. The skip is exact for every residual_tol below that bound.
+    (b) The M0 rung at even orders >= 2, where M0 >= N_k can hold (gm6 at
+        p = 2, gm4 and gm6 at p = 3), by evidence: it ran out of outer
+        iterations on every such input tried, builtin and random mixtures
+        with d = 2 ... 6 and p = 2 ... 4. At odd orders and order 0 the M0
+        rung can converge (one node at order <= 1, four in d = 2 at
+        order 3), so it is kept there.
+
+    The ladder itself does not move, so wherever the skipped rungs fail the
+    later starts and the rule are those of solving every rung. Step 2
+    multiplies M by INCREASE_FACTOR until bcd_solve converges, aborting past
+    10 * N_2p nodes; the seeded candidate cloud and its linkage are built
+    once, and each start is a fresh cut of that linkage at the new M.
+    Step 3 repeatedly deletes one node and
     re-solves warm-started from the remaining nodes, accepting while the
     tolerance holds. The deleted node is the lighter one of the closest pair
     when two nodes coincide (Euclidean distance <= COINCIDENT_TOL), since the
@@ -489,6 +509,11 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
     )
     cap = 10 * N2p
     M = ceil(N2p / (d + 1))
+    if d > 1:
+        if basis.order > 0 and basis.order % 2 == 0:
+            M = ceil(INCREASE_FACTOR * M)
+        while M < comb(d + basis.order // 2, d):
+            M = ceil(INCREASE_FACTOR * M)
     X = sample(gm, cfg.candidate_count, cfg.seed)
     Z = _linkage(X, M)
     start = _gauss_nodes(basis, gm) if d == 1 else _centroids(X, Z, M)

@@ -1,6 +1,7 @@
 """Weight solve, node moves, block coordinate descent, and node-count adaptation."""
 
 from dataclasses import replace
+from math import ceil, comb
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,8 +52,30 @@ def corr2d():
     )
 
 
+def random_mixture(d, seed):
+    """A seeded mixture of 1 to 3 correlated Gaussian components in d dimensions."""
+    rng = np.random.default_rng(seed)
+    K = int(rng.integers(1, 4))
+    means = rng.normal(0.0, 0.7, (K, d))
+    A = rng.normal(0.0, 1.0, (K, d, d)) / np.sqrt(d)
+    covs = 0.5 * A @ A.transpose(0, 2, 1) + 0.3 * np.eye(d)
+    return mq.GaussianMixture(rng.dirichlet(2.0 * np.ones(K)), means, covs)
+
+
 def basis_for(gm, order):
     return mq.gram_schmidt(mq.raw_moments(gm, 2 * order), gm.dim, order)
+
+
+def product_tensor(gm, basis):
+    """T[a, b, c] = E[Psi_a Psi_b Psi_c] for a, b < N_k (k = order // 2) and every c."""
+    E = basis.exponent_matrix()
+    k = basis.order // 2
+    Nk = comb(gm.dim + k, gm.dim)
+    mom = mq.raw_moments(gm, 2 * k + basis.order)
+    S = E[:Nk, None, None] + E[None, :Nk, None] + E[None, None, :]
+    m = np.array([mom[g] for g in S.reshape(-1, gm.dim).tolist()]).reshape(S.shape[:3])
+    C = basis.coeff_matrix
+    return np.einsum("ai,bj,cl,ijl->abc", C[:Nk, :Nk], C[:Nk, :Nk], C, m, optimize=True)
 
 
 @pytest.fixture(scope="module")
@@ -790,10 +813,66 @@ class TestAdaptiveRule:
         monkeypatch.setattr("mixquad.quadrature.bcd_solve", recording_solve)
         mq.adaptive_rule(basis, gm, cfg, on_accept=accepted.append)
         assert links == [10 * basis.size]
-        assert [len(x) for x in starts] == [14, 21]
+        assert [len(x) for x in starts] == [21]
         full = replace(cfg, candidate_count=10 * basis.size)
         for x in starts:
             assert np.array_equal(x, mq.init_nodes(gm, len(x), full))
+
+    @pytest.mark.parametrize("name, order, first", [
+        ("gauss2d", 2, 3),  # M0 = 2 < N_1 = 3: rung 2 skipped by proof
+        ("gauss2d", 4, 8),  # M0 = 5 < N_2 = 6: rung 5 skipped by proof
+        ("gauss2d", 6, 15),  # M0 = 10 >= N_3 = 10: rung 10 skipped on evidence
+        ("gauss2d", 3, 4),  # odd order: the M0 rung can converge and is kept
+        ("gauss2d", 1, 1),  # order 1: the M0 = 1 rung is kept, one node is exact
+        ("gm6", 4, 45),  # M0 = 30 >= N_2 = 28
+        ("gauss1d", 4, 3),  # d = 1: the Gauss start at M0
+    ])
+    def test_first_solve_skips_the_rungs_whose_outcome_is_known(self, monkeypatch, name, order,
+                                                               first):
+        gm = {"gauss2d": gauss2d, "gauss1d": gauss1d}.get(name, lambda: builtin_mixture(name))()
+        basis = basis_for(gm, order)
+        starts = []
+
+        def first_solve_only(basis, nodes, cfg):
+            starts.append(len(nodes))
+            raise StopIteration
+
+        monkeypatch.setattr("mixquad.quadrature.bcd_solve", first_solve_only)
+        with pytest.raises(StopIteration):
+            mq.adaptive_rule(basis, gm, mq.SolverConfig(seed=0))
+        assert starts == [first]
+
+    @pytest.mark.parametrize("name, p", [("gm4", 2), ("gm6", 1)])
+    def test_rungs_below_n_k_end_above_the_gram_bound(self, name, p):
+        # a rule exact through degree 2k needs M >= N_k nodes; with fewer,
+        # G - I = T r bounds the residual below by 1 / sigma_max(T)
+        gm = builtin_mixture(name)
+        basis = basis_for(gm, 2 * p)
+        T = product_tensor(gm, basis)
+        Nk = T.shape[0]
+        assert_allclose(T[:, :, 0], np.eye(Nk), rtol=0.0, atol=1e-12)
+        bound = 1.0 / np.linalg.norm(T.reshape(Nk * Nk, -1), 2)
+        assert bound >= 0.1
+        cfg = mq.SolverConfig(seed=0)
+        rule = mq.bcd_solve(basis, mq.init_nodes(gm, Nk - 1, cfg), cfg)
+        assert not rule.converged
+        assert rule.residual_norm >= bound
+        phi = mq.assemble_phi(basis, rule.nodes)
+        r, _ = mq.residual(phi, rule.weights)
+        gram = (phi[:Nk] * rule.weights) @ phi[:Nk].T
+        assert_allclose(gram - np.eye(Nk), T @ r, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("d, p, seed", [(2, 3, 0), (3, 3, 1), (5, 2, 2), (2, 4, 3)])
+    def test_first_rung_fails_where_it_is_not_provably_infeasible(self, d, p, seed):
+        # the evidence for skipping the M0 rung at M0 >= N_k: its solve from
+        # adaptive_rule's start does not converge
+        gm = random_mixture(d, seed)
+        basis = basis_for(gm, 2 * p)
+        M0 = ceil(basis.size / (d + 1))
+        assert M0 >= comb(d + p, d)
+        cfg = mq.SolverConfig(seed=0, candidate_count=10 * basis.size)
+        rule = mq.bcd_solve(basis, mq.init_nodes(gm, M0, cfg), cfg)
+        assert not rule.converged
 
     def test_deterministic_given_seed(self):
         gm = corr2d()
