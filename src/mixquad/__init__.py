@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 # mixquad.quadrature.__all__, listed here so that naming it does not load it
 _SOLVER_NAMES = ("SolverConfig", "assemble_phi", "residual", "solve_weights", "stacked_jacobian",
-                 "gauss_newton_step", "bcd_solve", "init_nodes", "adaptive_rule")
+                 "gauss_newton_step", "bcd_solve", "adaptive_rule")
 
 __all__ = [
     *distribution.__all__,

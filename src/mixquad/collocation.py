@@ -246,11 +246,10 @@ def density_estimate(s, gm, n_samples, seed, n_bins=60):
 
 
 def _eval_builtin(name, nodes):
-    fn = benchmarks.BUILTIN_MODELS.get(name)
-    if fn is None:
-        raise AdapterError(
-            f"unknown builtin model {name!r}; available: {sorted(benchmarks.BUILTIN_MODELS)}"
-        )
+    try:
+        fn = benchmarks.builtin_model(name)
+    except ValueError as exc:
+        raise AdapterError(str(exc)) from None
     return np.asarray(fn(nodes), dtype=float).reshape(-1)
 
 
@@ -290,12 +289,13 @@ def _eval_subprocess(spec, nodes):
     cmd = spec["command"]
     lines = "".join(" ".join(map(str, row)) + "\n" for row in nodes.tolist())
     try:
-        proc = subprocess.run(
-            shlex.split(cmd),
-            input=lines,
-            capture_output=True,
-            text=True,
-        )
+        argv = shlex.split(cmd)
+    except ValueError as exc:
+        raise AdapterError(f"cannot split {cmd!r} into arguments: {exc}") from None
+    if not argv:
+        raise AdapterError(f"model command {cmd!r} names no program")
+    try:
+        proc = subprocess.run(argv, input=lines, capture_output=True, text=True)
     except OSError as exc:
         raise AdapterError(f"cannot spawn {cmd!r}: {exc}") from None
     if proc.returncode != 0:

@@ -12,7 +12,7 @@ eigenvalues of the Jacobi matrix (Golub & Welsch 1969). The weight solve
 in the compiled code of scipy's wheel, called through _lapack.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import ceil, comb
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "stacked_jacobian",
     "gauss_newton_step",
     "bcd_solve",
-    "init_nodes",
     "adaptive_rule",
 ]
 
@@ -42,6 +41,12 @@ __all__ = [
 STALL_LIMIT = 10
 # factor by which the increase phase grows the node count
 INCREASE_FACTOR = 1.5
+# outer iterations of one bcd_solve
+MAX_OUTER_ITERS = 200
+# step halvings of one Gauss-Newton line search
+MAX_GN_BACKTRACKS = 20
+# size of adaptive_rule's candidate cloud and its node cap, in multiples of N_2p
+CLOUD_FACTOR = 10
 # Gauss-Newton damping lambda after a successful move
 GN_DAMPING = 1e-6
 # step shrink per Gauss-Newton backtrack
@@ -52,18 +57,13 @@ COINCIDENT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver constants. Defaults are deliberate choices, not tuned per run.
+    """What a caller chooses: the residual tolerance and the seed of the start cloud.
 
-    candidate_count = None means "10 * N_2p", resolved once the basis size is
-    known (adaptive_rule does this); standalone init_nodes callers without a
-    basis get 10 * M candidates.
+    The budgets and the cloud size are the module constants above.
     """
 
     residual_tol: float = 1e-8
-    max_outer_iters: int = 200
-    candidate_count: int = None
     seed: int = 0
-    max_gn_backtracks: int = 20
 
     def __post_init__(self):
         if not 0 < self.residual_tol < np.inf:
@@ -192,13 +192,13 @@ def _damped_step(J, r, lam):
     return -y if n <= N else -(J.T @ y)
 
 
-def gauss_newton_step(basis, nodes, w, r, lam, cfg, state=None):
+def gauss_newton_step(basis, nodes, w, r, lam, state=None):
     """One damped Gauss-Newton move of all nodes at fixed weights.
 
     The step solves min ||J d + r||^2 + lam ||d||^2 with J the stacked
     Jacobian, by a LAPACK Cholesky factorization of J^T J + lam I or
     J J^T + lam I, whichever is smaller (_damped_step), and is halved up to
-    cfg.max_gn_backtracks times until the new residual does not exceed ||r||.
+    MAX_GN_BACKTRACKS times until the new residual does not exceed ||r||.
     A failed factorization or line search leaves the nodes unchanged and
     raises the damping tenfold; success resets it to GN_DAMPING.
 
@@ -224,7 +224,7 @@ def gauss_newton_step(basis, nodes, w, r, lam, cfg, state=None):
     except LinAlgError:
         return nodes, lam * 10.0, False, state
     s = 1.0
-    for _ in range(cfg.max_gn_backtracks):
+    for _ in range(MAX_GN_BACKTRACKS):
         cand = nodes + s * step
         mono = _monomials(basis, cand)
         if not _certified_worse(basis, mono, w, nrm):
@@ -236,13 +236,14 @@ def gauss_newton_step(basis, nodes, w, r, lam, cfg, state=None):
 
 
 @_one_blas_thread()
-def bcd_solve(basis, init_nodes, cfg):
+def bcd_solve(basis, start, cfg):
     """Block coordinate descent from a fixed set of starting nodes.
 
     Alternates the exact weight solve with a Gauss-Newton node move until the
-    residual meets cfg.residual_tol, the outer budget runs out, the weight
-    solve fails (its iteration limit leaves all weights zero, so every later
-    node move would be a zero step), or the node move has failed STALL_LIMIT
+    residual meets cfg.residual_tol, MAX_OUTER_ITERS moves have been made
+    (one last weight solve then fits the final nodes), the weight solve
+    fails (its iteration limit leaves all weights zero, so every later node
+    move would be a zero step), or the node move has failed STALL_LIMIT
     times in a row (the damping is then so large that further outer
     iterations cannot make progress).
 
@@ -256,36 +257,23 @@ def bcd_solve(basis, init_nodes, cfg):
     -------
     QuadratureRule with converged set accordingly.
     """
-    nodes = np.atleast_2d(np.asarray(init_nodes, dtype=float))
+    nodes = np.atleast_2d(np.asarray(start, dtype=float))
     state = _evaluate(basis, nodes)
     lam = GN_DAMPING
     hist = []
     stall = 0
-    converged = False
-    w = np.zeros(nodes.shape[0])
-    nrm = 1.0
-    for _ in range(cfg.max_outer_iters):
+    for it in range(MAX_OUTER_ITERS + 1):
         phi = state[1]
         w, solved = solve_weights(phi)
         r, nrm = residual(phi, w)
         hist.append(nrm)
-        if not solved:
+        converged = solved and nrm <= cfg.residual_tol
+        if converged or not solved or it == MAX_OUTER_ITERS:
             break
-        if nrm <= cfg.residual_tol:
-            converged = True
-            break
-        nodes, lam, improved, state = gauss_newton_step(basis, nodes, w, r, lam, cfg, state)
+        nodes, lam, improved, state = gauss_newton_step(basis, nodes, w, r, lam, state)
         stall = 0 if improved else stall + 1
         if stall >= STALL_LIMIT:
             break
-    else:
-        # outer budget exhausted after a node move: refresh weights so the
-        # reported state is consistent with the final nodes
-        phi = state[1]
-        w, solved = solve_weights(phi)
-        _, nrm = residual(phi, w)
-        hist.append(nrm)
-        converged = solved and nrm <= cfg.residual_tol
     return QuadratureRule(
         nodes=nodes,
         weights=w,
@@ -295,29 +283,6 @@ def bcd_solve(basis, init_nodes, cfg):
         converged=converged,
         seed=cfg.seed,
     )
-
-
-def init_nodes(gm, M, cfg):
-    """Initial nodes: cluster a seeded Monte Carlo cloud down to M centroids.
-
-    Draws cfg.candidate_count i.i.d. samples (10 * M when unset), runs
-    complete-linkage agglomerative clustering on Euclidean distances, and
-    returns the component-wise mean of each cluster, in the order of the
-    clusters' smallest sample indices. Deterministic given cfg.seed.
-    adaptive_rule builds the same cloud and linkage once and cuts every
-    start of its increase phase from them with the same helper, so each of
-    its starts equals init_nodes at that M.
-    """
-    if M < 1:
-        raise ValueError(f"need M >= 1 nodes, got {M}")
-    count = cfg.candidate_count if cfg.candidate_count is not None else 10 * M
-    X = sample(gm, count, cfg.seed)
-    return _centroids(X, _linkage(X, M), M)
-
-
-def _linkage(X, M):
-    """Complete linkage of the cloud X, or None when M takes every sample."""
-    return _complete_linkage(X) if M < len(X) else None
 
 
 def _distances(X):
@@ -426,11 +391,11 @@ def _complete_linkage(X):
 
 
 def _centroids(X, Z, M):
-    """M start nodes from the cloud X and its linkage Z = (pairs, heights); see init_nodes."""
-    if M > len(X):
-        raise ValueError(f"M = {M} exceeds candidate_count = {len(X)}")
-    if M == len(X):
-        return X.copy()
+    """M start nodes from the cloud X and its linkage Z = (pairs, heights).
+
+    Cutting Z into M clusters, the nodes are the component-wise means of the
+    clusters, in the order of their smallest sample indices.
+    """
     labels = _cut_labels(Z[0], M)
     return np.array([X[labels == c].mean(axis=0) for c in range(M)])
 
@@ -481,9 +446,9 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
     The ladder itself does not move, so wherever the skipped rungs fail the
     later starts and the rule are those of solving every rung. Step 2
     multiplies M by INCREASE_FACTOR until bcd_solve converges, aborting past
-    10 * N_2p nodes; the seeded candidate cloud and its linkage are built
-    once, and each start is a fresh cut of that linkage at the new M.
-    Step 3 repeatedly deletes one node and
+    cap = CLOUD_FACTOR * N_2p nodes. Each start cuts the complete linkage of
+    one seeded cloud of cap samples, built once, into M clusters and takes
+    their means (_centroids). Step 3 repeatedly deletes one node and
     re-solves warm-started from the remaining nodes, accepting while the
     tolerance holds. The deleted node is the lighter one of the closest pair
     when two nodes coincide (Euclidean distance <= COINCIDENT_TOL), since the
@@ -498,24 +463,20 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
     Raises
     ------
     IncreasePhaseError
-        If the increase phase exceeds 10 * N_2p nodes without converging; it
+        If the increase phase exceeds cap nodes without converging; it
         carries the residual of one NNLS over the whole candidate cloud.
     """
     N2p = basis.size
     d = gm.dim
-    cfg = replace(
-        cfg,
-        candidate_count=cfg.candidate_count if cfg.candidate_count is not None else 10 * N2p,
-    )
-    cap = 10 * N2p
+    cap = CLOUD_FACTOR * N2p
     M = ceil(N2p / (d + 1))
     if d > 1:
         if basis.order > 0 and basis.order % 2 == 0:
             M = ceil(INCREASE_FACTOR * M)
         while M < comb(d + basis.order // 2, d):
             M = ceil(INCREASE_FACTOR * M)
-    X = sample(gm, cfg.candidate_count, cfg.seed)
-    Z = _linkage(X, M)
+    X = sample(gm, cap, cfg.seed)
+    Z = _complete_linkage(X)
     start = _gauss_nodes(basis, gm) if d == 1 else _centroids(X, Z, M)
     while True:
         rule = bcd_solve(basis, start, cfg)
@@ -525,7 +486,7 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
         if M > cap:
             phi = assemble_phi(basis, X)
             _, best = residual(phi, solve_weights(phi)[0])
-            raise IncreasePhaseError(M, cap, rule.residual_norm, len(X), best, cfg.residual_tol)
+            raise IncreasePhaseError(M, cap, rule.residual_norm, best, cfg.residual_tol)
         start = _centroids(X, Z, M)
     if on_accept is not None:
         on_accept(rule)

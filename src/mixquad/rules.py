@@ -22,12 +22,12 @@ __all__ = ["QuadratureRule", "Surrogate", "IncreasePhaseError", "mixture_to_json
 class IncreasePhaseError(RuntimeError):
     """Increase phase hit the node budget without converging.
 
-    cloud_residual, from one NNLS over the cloud_size candidate points the
-    starts were cut from, is the least residual of any rule with nodes among
-    them: above tol, no start could have converged.
+    cloud_residual, from one NNLS over the cap candidate points the starts
+    were cut from, is the least residual of any rule with nodes among them:
+    above tol, no start could have converged.
     """
 
-    def __init__(self, M, cap, last_residual, cloud_size, cloud_residual, tol):
+    def __init__(self, M, cap, last_residual, cloud_residual, tol):
         self.M = M
         self.cap = cap
         self.last_residual = last_residual
@@ -35,7 +35,7 @@ class IncreasePhaseError(RuntimeError):
         found = "no rule" if cloud_residual > tol else "a rule"
         super().__init__(
             f"increase phase reached M = {M} > {cap} without convergence "
-            f"(last residual {last_residual:.3e}); {found} with nodes among the {cloud_size} "
+            f"(last residual {last_residual:.3e}); {found} with nodes among the {cap} "
             f"cloud points meets the tolerance (best {cloud_residual:.3e})"
         )
 
@@ -64,8 +64,10 @@ class QuadratureRule:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.weights.shape != (self.nodes.shape[0],):
             raise ValueError("one weight per node required")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative, exactly")
+        if not np.isfinite(self.nodes).all():
+            raise ValueError("nodes must be finite")
+        if not (np.isfinite(self.weights).all() and (self.weights >= 0).all()):
+            raise ValueError("weights must be finite and nonnegative, exactly")
 
     @property
     def n_nodes(self):
@@ -97,6 +99,8 @@ class Surrogate:
             raise ValueError(
                 f"coefficient vector has shape {c.shape}, basis has {self.basis.size} functions"
             )
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", c)
 
 

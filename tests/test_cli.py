@@ -141,8 +141,8 @@ class TestQuadratureCommand:
 
     def test_unreachable_tolerance_exits_nonzero(self, cfg1, tmp_path, monkeypatch, capsys):
         def unreachable(basis, gm, cfg):
-            raise mq.IncreasePhaseError(M=70, cap=60, last_residual=1e-17, cloud_size=60,
-                                        cloud_residual=1e-17, tol=1e-30)
+            raise mq.IncreasePhaseError(M=70, cap=60, last_residual=1e-17, cloud_residual=1e-17,
+                                        tol=1e-30)
 
         monkeypatch.setattr("mixquad.quadrature.adaptive_rule", unreachable)
         code = main(["quadrature", "--config", str(cfg1), "--out", str(tmp_path), "--order", "1"])
@@ -260,6 +260,21 @@ class TestSurrogateCommand:
         assert code == 1
         assert err.startswith("error:") and "order 6" in err
         assert not marker.exists()
+
+    @pytest.mark.parametrize("cmd, message", [
+        ("", "model command '' names no program"),
+        ("   ", "model command '   ' names no program"),
+        ('echo "x', """cannot split 'echo "x' into arguments: No closing quotation"""),
+    ], ids=["empty", "blank", "open-quote"])
+    def test_unusable_model_command_is_named(self, cfg2, pipeline_out, tmp_path, capsys, cmd,
+                                             message):
+        (tmp_path / "rule.json").write_bytes((pipeline_out / "rule.json").read_bytes())
+        code = main(["surrogate", "--config", str(cfg2), "--out", str(tmp_path),
+                     "--model-cmd", cmd])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "surrogate.json").exists()
 
     def test_missing_rule_file_reported(self, cfg2, tmp_path):
         res = run_cli(
@@ -379,6 +394,40 @@ class TestBasisReuse:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {tmp_path / name}: malformed ")
+
+    @pytest.mark.parametrize("name, field, index, bad, message", [
+        ("rule.json", "weights", 0, float("nan"), "weights must be finite"),
+        ("rule.json", "weights", 3, float("inf"), "weights must be finite"),
+        ("rule.json", "nodes", (1, 2), float("inf"), "nodes must be finite"),
+        ("surrogate.json", "coefficients", 1, float("nan"), "coefficients must be finite"),
+    ], ids=["rule-nan-weight", "rule-inf-weight", "rule-inf-node", "surrogate-nan-coefficient"])
+    def test_non_finite_artifact_is_rejected_on_read(self, gm4_p1, tmp_path, capsys, name, field,
+                                                     index, bad, message):
+        for artifact in ("basis_p.json", "rule.json", "surrogate.json"):
+            (tmp_path / artifact).write_bytes((gm4_p1 / artifact).read_bytes())
+        obj = json.loads((tmp_path / name).read_text())
+        row = obj[field]
+        if isinstance(index, tuple):
+            row, index = row[index[0]], index[1]
+        row[index] = bad
+        (tmp_path / name).write_text(json.dumps(obj))
+        marker = tmp_path / "model-ran"
+        script = tmp_path / "model.py"
+        script.write_text(f"import sys\nopen({str(marker)!r}, 'w').close()\n"
+                          "[print(0.0) for _ in sys.stdin]\n")
+        stage = "surrogate" if name == "rule.json" else "stats"
+        written = {"surrogate": ["surrogate.json", "coefficients.csv"],
+                   "stats": ["stats.json", "density.csv"]}[stage]
+        for artifact in written:
+            (tmp_path / artifact).unlink(missing_ok=True)
+        extra = ["--model-cmd", f"{sys.executable} {script}"] if stage == "surrogate" else []
+        code = main([stage, "--config", "builtin:gm4", "--order", "1", "--out", str(tmp_path),
+                     *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {tmp_path / name}: {message}")
+        assert not marker.exists()
+        assert not any((tmp_path / artifact).exists() for artifact in written)
 
     @pytest.mark.parametrize("stage", ["surrogate", "stats", "sample"])
     def test_stages_reading_artifacts_load_no_scipy(self, gm4_p1, tmp_path, stage):

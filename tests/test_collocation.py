@@ -299,8 +299,12 @@ class TestEvaluateModel:
             assert adapter.describe() == f"builtin:{name}"
 
     def test_unknown_builtin_rejected(self):
-        with pytest.raises(mq.AdapterError, match="available"):
+        with pytest.raises(mq.AdapterError, match="available") as info:
             mq.evaluate_model(mq.ModelAdapter.builtin("nope"), np.zeros((2, 4)))
+        # the message of the one lookup, benchmarks.builtin_model
+        with pytest.raises(ValueError) as lookup:
+            benchmarks.builtin_model("nope")
+        assert str(info.value) == str(lookup.value)
 
     def test_batch_file_round_trip(self, tmp_path, corr2d_setup):
         _, basis_p, rule = corr2d_setup

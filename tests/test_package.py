@@ -1,5 +1,6 @@
 """Package surface: what `import mixquad` loads and the names it re-exports."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -60,8 +61,13 @@ def test_public_surface_is_pinned():
         "OrthoBasis", "QuadratureRule", "SolverConfig", "Surrogate", "__version__", "adaptive_rule",
         "assemble_phi", "basis_from_json", "basis_to_json", "bcd_solve", "density_estimate",
         "enumerate_indices", "eval_basis_batch", "eval_basis_jacobian_batch", "evaluate_batch",
-        "evaluate_model", "gauss_newton_step", "gram_schmidt", "init_nodes", "mixture_from_json",
+        "evaluate_model", "gauss_newton_step", "gram_schmidt", "mixture_from_json",
         "mixture_to_json", "nodes_to_csv", "project", "project_columns", "raw_moments", "residual",
         "rule_from_json", "rule_to_json", "sample", "solve_weights", "stacked_jacobian",
         "statistics", "surrogate_from_json", "surrogate_to_json",
     ]
+
+
+def test_solver_config_holds_only_the_callers_choices():
+    # the budgets and the cloud size are constants of mixquad.quadrature
+    assert [f.name for f in dataclasses.fields(mq.SolverConfig)] == ["residual_tol", "seed"]

@@ -14,13 +14,14 @@ from scipy.optimize import nnls
 from scipy.spatial.distance import pdist
 
 import mixquad as mq
-from mixquad import _lapack
+from mixquad import _lapack, quadrature
 from mixquad.basis import _monomials
 from mixquad.benchmarks import builtin_mixture, gm4
 from mixquad.quadrature import (
     GN_DAMPING,
     LINE_SEARCH_SHRINK,
     STALL_LIMIT,
+    _centroids,
     _certified_worse,
     _complete_linkage,
     _cut_labels,
@@ -64,6 +65,15 @@ def random_mixture(d, seed):
 
 def basis_for(gm, order):
     return mq.gram_schmidt(mq.raw_moments(gm, 2 * order), gm.dim, order)
+
+
+def clustered_start(gm, M, seed, count=None):
+    """M start nodes cut from a seeded cloud of count samples (10 M by default).
+
+    adaptive_rule's starts, from a cloud of the given size.
+    """
+    X = mq.sample(gm, 10 * M if count is None else count, seed)
+    return _centroids(X, _complete_linkage(X), M)
 
 
 def product_tensor(gm, basis):
@@ -166,7 +176,7 @@ class TestSolveWeights:
         gm = gm4()
         basis = basis_for(gm, 4)
         for M in (15, 70, 140):
-            phis.append(mq.assemble_phi(basis, mq.init_nodes(gm, M, mq.SolverConfig(seed=0))))
+            phis.append(mq.assemble_phi(basis, clustered_start(gm, M, seed=0)))
         for phi in phis:
             e1 = np.zeros(phi.shape[0])
             e1[0] = 1.0
@@ -200,47 +210,44 @@ class TestSolveWeights:
 
 class TestGaussNewtonStep:
     def test_zero_residual_leaves_nodes_unchanged(self, hermite2):
-        cfg = mq.SolverConfig()
         nodes = np.array([[-1.0], [1.0]])
         w = np.array([0.5, 0.5])
         r = np.zeros(3)
-        out, lam, improved, _ = mq.gauss_newton_step(hermite2, nodes, w, r, 1e-3, cfg)
+        out, lam, improved, _ = mq.gauss_newton_step(hermite2, nodes, w, r, 1e-3)
         assert improved
         assert lam == GN_DAMPING
         assert np.array_equal(out, nodes)
 
     def test_zero_weight_node_is_pinned(self, hermite2):
-        cfg = mq.SolverConfig()
         nodes = np.array([[-0.8], [1.2], [3.0]])
         w = np.array([0.55, 0.45, 0.0])
         phi = mq.assemble_phi(hermite2, nodes)
         r, _ = mq.residual(phi, w)
-        out, _, _, _ = mq.gauss_newton_step(hermite2, nodes, w, r, GN_DAMPING, cfg)
+        out, _, _, _ = mq.gauss_newton_step(hermite2, nodes, w, r, GN_DAMPING)
         assert abs(out[2, 0] - 3.0) <= 1e-12
 
     def test_iteration_drives_residual_to_stationary_point(self, hermite2):
         # alternating with exact weight solves from (-0.9, 1.1)
-        cfg = mq.SolverConfig()
         nodes = np.array([[-0.9], [1.1]])
         lam = GN_DAMPING
         for _ in range(60):
             phi = mq.assemble_phi(hermite2, nodes)
             w, _ = mq.solve_weights(phi)
             r, nrm = mq.residual(phi, w)
-            nodes, lam, _, _ = mq.gauss_newton_step(hermite2, nodes, w, r, lam, cfg)
+            nodes, lam, _, _ = mq.gauss_newton_step(hermite2, nodes, w, r, lam)
         phi = mq.assemble_phi(hermite2, nodes)
         w, _ = mq.solve_weights(phi)
         _, nrm = mq.residual(phi, w)
         assert nrm < 1e-10
         assert np.all(np.abs(nodes) < 2.0)
 
-    def test_failed_line_search_keeps_nodes_and_raises_damping(self, hermite2):
-        cfg = mq.SolverConfig(max_gn_backtracks=0)
+    def test_failed_line_search_keeps_nodes_and_raises_damping(self, hermite2, monkeypatch):
+        monkeypatch.setattr("mixquad.quadrature.MAX_GN_BACKTRACKS", 0)
         nodes = np.array([[-0.9], [1.1]])
         phi = mq.assemble_phi(hermite2, nodes)
         w, _ = mq.solve_weights(phi)
         r, _ = mq.residual(phi, w)
-        out, lam, improved, _ = mq.gauss_newton_step(hermite2, nodes, w, r, 1e-6, cfg)
+        out, lam, improved, _ = mq.gauss_newton_step(hermite2, nodes, w, r, 1e-6)
         assert not improved
         assert np.array_equal(out, nodes)
         assert lam == pytest.approx(1e-5)
@@ -254,24 +261,23 @@ class TestGaussNewtonStep:
         phi = mq.assemble_phi(hermite2, nodes)
         w, _ = mq.solve_weights(phi)
         r, _ = mq.residual(phi, w)
-        out, lam, improved, _ = mq.gauss_newton_step(
-            hermite2, nodes, w, r, 1e-6, mq.SolverConfig()
-        )
+        out, lam, improved, _ = mq.gauss_newton_step(hermite2, nodes, w, r, 1e-6)
         assert not improved
         assert np.array_equal(out, nodes)
         assert lam == pytest.approx(1e-5)
 
     @pytest.mark.parametrize("backtracks", [20, 0])
-    def test_returned_state_is_the_evaluation_of_the_returned_nodes(self, hermite2, backtracks):
+    def test_returned_state_is_the_evaluation_of_the_returned_nodes(self, hermite2, backtracks,
+                                                                    monkeypatch):
         # accepted move (20 backtracks) and failed one (0): the pair handed
         # back is the monomial table and Phi of the nodes handed back
         nodes = np.array([[-0.9], [1.1]])
         phi = mq.assemble_phi(hermite2, nodes)
         w, _ = mq.solve_weights(phi)
         r, _ = mq.residual(phi, w)
-        cfg = mq.SolverConfig(max_gn_backtracks=backtracks)
+        monkeypatch.setattr("mixquad.quadrature.MAX_GN_BACKTRACKS", backtracks)
         out, _, improved, (mono, phi_out) = mq.gauss_newton_step(
-            hermite2, nodes, w, r, GN_DAMPING, cfg
+            hermite2, nodes, w, r, GN_DAMPING
         )
         assert improved == (backtracks > 0)
         assert np.array_equal(phi_out, mq.assemble_phi(hermite2, out))
@@ -342,7 +348,7 @@ class TestLapackRoutes:
         gm = gm4()
         basis = basis_for(gm, 4)
         for M in (15, 70, 140):
-            phi = mq.assemble_phi(basis, mq.init_nodes(gm, M, mq.SolverConfig(seed=1)))
+            phi = mq.assemble_phi(basis, clustered_start(gm, M, seed=1))
             problems.append((phi, np.eye(len(phi))[0]))
         for A, b in problems:
             x_ref, rnorm_ref = nnls(A, b)
@@ -390,7 +396,7 @@ def _screen_cases(rng):
     gm = corr2d()
     basis = basis_for(gm, 4)
     for M in (8, 15, 24):
-        nodes = mq.init_nodes(gm, M, mq.SolverConfig(seed=M))
+        nodes = clustered_start(gm, M, seed=M)
         phi = mq.assemble_phi(basis, nodes)
         w, _ = mq.solve_weights(phi)
         r, _ = mq.residual(phi, w)
@@ -434,7 +440,7 @@ def _reference_bcd(basis, start, cfg):
     """
     nodes = np.atleast_2d(np.asarray(start, dtype=float))
     lam, stall, hist, converged = GN_DAMPING, 0, [], False
-    for _ in range(cfg.max_outer_iters):
+    for _ in range(quadrature.MAX_OUTER_ITERS):
         phi = mq.assemble_phi(basis, nodes)
         w, solved = mq.solve_weights(phi)
         r, nrm = mq.residual(phi, w)
@@ -450,7 +456,7 @@ def _reference_bcd(basis, start, cfg):
         except LinAlgError:
             step = None
         s = 1.0
-        for _ in range(cfg.max_gn_backtracks if step is not None else 0):
+        for _ in range(quadrature.MAX_GN_BACKTRACKS if step is not None else 0):
             cand = nodes + s * step.reshape(nodes.shape)
             if mq.residual(mq.assemble_phi(basis, cand), w)[1] <= float(np.linalg.norm(r)):
                 nodes, lam, improved = cand, GN_DAMPING, True
@@ -499,7 +505,7 @@ class TestBcdSolve:
         basis = basis_for(gm, 2)
         cfg = mq.SolverConfig(seed=3)
         for M in (4, 6, 9):
-            start = mq.init_nodes(gm, M, cfg)
+            start = clustered_start(gm, M, seed=3)
             rule = mq.bcd_solve(basis, start, cfg)
             hist = np.array(rule.history)
             assert np.all(np.diff(hist) <= 1e-12)
@@ -508,42 +514,57 @@ class TestBcdSolve:
         gm = corr2d()
         basis = basis_for(gm, 2)
         cfg = mq.SolverConfig(seed=5)
-        start = mq.init_nodes(gm, 6, cfg)
+        start = clustered_start(gm, 6, seed=5)
         a = mq.bcd_solve(basis, start, cfg)
         b = mq.bcd_solve(basis, start, cfg)
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.weights, b.weights)
         assert a.history == b.history
 
-    def test_unreachable_tolerance_reports_nonconvergence(self, hermite2):
+    def test_unreachable_tolerance_reports_nonconvergence(self, hermite2, monkeypatch):
         # one node cannot match E[x^2] = 1 at mean 0: the best residual is
         # 1 / sqrt(3), at the node 0 with weight 2 / 3
-        cfg = mq.SolverConfig(max_outer_iters=40)
-        rule = mq.bcd_solve(hermite2, np.array([[0.4]]), cfg)
+        monkeypatch.setattr("mixquad.quadrature.MAX_OUTER_ITERS", 40)
+        rule = mq.bcd_solve(hermite2, np.array([[0.4]]), mq.SolverConfig())
         assert not rule.converged
         assert rule.residual_norm > 0.0
         assert rule.residual_norm >= 1.0 / np.sqrt(3.0) - 1e-12
         # the final weight refresh may add one entry past the outer budget
-        assert len(rule.history) <= cfg.max_outer_iters + 1
+        assert len(rule.history) <= 40 + 1
 
 
-    @pytest.mark.parametrize("limits", [{}, {"max_outer_iters": 5}, {"max_gn_backtracks": 0}],
-                             ids=["default", "budget", "stall"])
-    def test_carried_node_sets_give_the_rule_of_fresh_evaluation(self, limits):
-        # converged, budget-exhausted and stalled exits of bcd_solve, bit for bit
+    @pytest.mark.parametrize("limits", [{}, {"MAX_OUTER_ITERS": 5}, {"MAX_GN_BACKTRACKS": 0},
+                                        {"MAX_OUTER_ITERS": 0}],
+                             ids=["default", "budget", "stall", "zero-budget"])
+    def test_carried_node_sets_give_the_rule_of_fresh_evaluation(self, monkeypatch, limits):
+        # converged, budget-exhausted, stalled and zero-budget exits of
+        # bcd_solve, bit for bit, with one weight solve per history entry
+        for name, value in limits.items():
+            monkeypatch.setattr(f"mixquad.quadrature.{name}", value)
+        solves, solve = [], quadrature.solve_weights
+
+        def counting_solve(phi):
+            solves.append(None)
+            return solve(phi)
+
+        monkeypatch.setattr("mixquad.quadrature.solve_weights", counting_solve)
         corr = corr2d()
-        cases = [(basis_for(corr, q), mq.init_nodes(corr, M, mq.SolverConfig(seed=3)))
+        cases = [(basis_for(corr, q), clustered_start(corr, M, seed=3))
                  for q in (2, 4) for M in (4, 6, 9)]
         g4 = gm4()
-        cases.append((basis_for(g4, 4), mq.init_nodes(g4, 21, mq.SolverConfig(candidate_count=700))))
+        cases.append((basis_for(g4, 4), clustered_start(g4, 21, seed=0, count=700)))
+        cfg = mq.SolverConfig(seed=3)
         for basis, start in cases:
-            cfg = mq.SolverConfig(seed=3, **limits)
+            solves.clear()
             rule = mq.bcd_solve(basis, start, cfg)
+            assert len(solves) == len(rule.history)
             nodes, w, nrm, hist, converged = _reference_bcd(basis, start, cfg)
             assert np.array_equal(rule.nodes, nodes)
             assert np.array_equal(rule.weights, w)
             assert rule.history == hist
             assert rule.residual_norm == nrm and rule.converged == converged
+            if limits == {"MAX_OUTER_ITERS": 0}:
+                assert len(hist) == 1 and np.array_equal(nodes, start)
 
     def test_each_node_set_gets_one_monomial_table(self, monkeypatch):
         # one table for the start and one per line-search trial; no table
@@ -568,7 +589,7 @@ class TestBcdSolve:
         monkeypatch.setattr("mixquad.quadrature._certified_worse", counting_screen)
         gm = corr2d()
         cfg = mq.SolverConfig(seed=3)
-        mq.bcd_solve(basis_for(gm, 2), mq.init_nodes(gm, 4, cfg), cfg)
+        mq.bcd_solve(basis_for(gm, 2), clustered_start(gm, 4, seed=3), cfg)
         trials = len(screens)
         assert trials > 0
         assert len(tables) == 1 + trials
@@ -587,16 +608,16 @@ class TestBcdSolve:
 
 
 class TestInitNodes:
+    """Start nodes: centroids of a cut of the clustered candidate cloud."""
+
     def test_requesting_all_candidates_returns_the_samples(self):
         gm = corr2d()
-        cfg = mq.SolverConfig(seed=11, candidate_count=25)
-        nodes = mq.init_nodes(gm, 25, cfg)
+        nodes = clustered_start(gm, 25, seed=11, count=25)
         assert np.array_equal(nodes, mq.sample(gm, 25, seed=11))
 
     def test_single_node_is_the_cloud_mean(self):
         gm = corr2d()
-        cfg = mq.SolverConfig(seed=12, candidate_count=40)
-        nodes = mq.init_nodes(gm, 1, cfg)
+        nodes = clustered_start(gm, 1, seed=12, count=40)
         assert_allclose(nodes[0], mq.sample(gm, 40, seed=12).mean(axis=0), rtol=1e-12)
 
     def test_two_separated_lobes_yield_one_centroid_each(self):
@@ -605,19 +626,13 @@ class TestInitNodes:
             [[-10.0, 0.0], [10.0, 0.0]],
             [np.eye(2) * 0.25, np.eye(2) * 0.25],
         )
-        nodes = mq.init_nodes(gm, 2, mq.SolverConfig(seed=13))
+        nodes = clustered_start(gm, 2, seed=13)
         xs = np.sort(nodes[:, 0])
         assert abs(xs[0] + 10.0) < 1.0 and abs(xs[1] - 10.0) < 1.0
 
     def test_deterministic_given_seed(self):
         gm = corr2d()
-        cfg = mq.SolverConfig(seed=14)
-        assert np.array_equal(mq.init_nodes(gm, 7, cfg), mq.init_nodes(gm, 7, cfg))
-
-    def test_rejects_more_nodes_than_candidates(self):
-        gm = corr2d()
-        with pytest.raises(ValueError, match="candidate"):
-            mq.init_nodes(gm, 50, mq.SolverConfig(candidate_count=20))
+        assert np.array_equal(clustered_start(gm, 7, seed=14), clustered_start(gm, 7, seed=14))
 
     @pytest.mark.parametrize("name", ["gm4", "gm6"])
     def test_matches_cut_tree_centroids_on_sampled_clouds(self, name):
@@ -626,7 +641,7 @@ class TestInitNodes:
             X = mq.sample(gm, 300, seed)
             labels = cut_tree(linkage(X, method="complete"), n_clusters=M).ravel()
             ref = np.array([X[labels == c].mean(axis=0) for c in range(M)])
-            got = mq.init_nodes(gm, M, mq.SolverConfig(seed=seed, candidate_count=300))
+            got = clustered_start(gm, M, seed=seed, count=300)
             assert np.array_equal(got, ref), (seed, M)
 
     def test_tied_lattice_cuts_into_m_nonempty_clusters(self):
@@ -778,7 +793,8 @@ class TestAdaptiveRule:
         monkeypatch.setattr("mixquad.quadrature.bcd_solve", never_converges)
         gm = gauss1d()
         basis = basis_for(gm, 2)
-        cfg = mq.SolverConfig(residual_tol=tol, max_outer_iters=1, seed=0)
+        monkeypatch.setattr("mixquad.quadrature.MAX_OUTER_ITERS", 1)
+        cfg = mq.SolverConfig(residual_tol=tol, seed=0)
         with pytest.raises(mq.IncreasePhaseError) as info:
             mq.adaptive_rule(basis, gm, cfg)
         assert info.value.M > info.value.cap
@@ -814,9 +830,8 @@ class TestAdaptiveRule:
         mq.adaptive_rule(basis, gm, cfg, on_accept=accepted.append)
         assert links == [10 * basis.size]
         assert [len(x) for x in starts] == [21]
-        full = replace(cfg, candidate_count=10 * basis.size)
         for x in starts:
-            assert np.array_equal(x, mq.init_nodes(gm, len(x), full))
+            assert np.array_equal(x, clustered_start(gm, len(x), seed=0, count=10 * basis.size))
 
     @pytest.mark.parametrize("name, order, first", [
         ("gauss2d", 2, 3),  # M0 = 2 < N_1 = 3: rung 2 skipped by proof
@@ -854,7 +869,7 @@ class TestAdaptiveRule:
         bound = 1.0 / np.linalg.norm(T.reshape(Nk * Nk, -1), 2)
         assert bound >= 0.1
         cfg = mq.SolverConfig(seed=0)
-        rule = mq.bcd_solve(basis, mq.init_nodes(gm, Nk - 1, cfg), cfg)
+        rule = mq.bcd_solve(basis, clustered_start(gm, Nk - 1, seed=0), cfg)
         assert not rule.converged
         assert rule.residual_norm >= bound
         phi = mq.assemble_phi(basis, rule.nodes)
@@ -870,8 +885,8 @@ class TestAdaptiveRule:
         basis = basis_for(gm, 2 * p)
         M0 = ceil(basis.size / (d + 1))
         assert M0 >= comb(d + p, d)
-        cfg = mq.SolverConfig(seed=0, candidate_count=10 * basis.size)
-        rule = mq.bcd_solve(basis, mq.init_nodes(gm, M0, cfg), cfg)
+        cfg = mq.SolverConfig(seed=0)
+        rule = mq.bcd_solve(basis, clustered_start(gm, M0, seed=0, count=10 * basis.size), cfg)
         assert not rule.converged
 
     def test_deterministic_given_seed(self):
