@@ -218,8 +218,8 @@ def density_estimate(s, gm, n_samples, seed, n_bins=60):
     """
     if n_samples < 10 ** 3:
         raise ValueError(f"need n_samples >= 1000, got {n_samples}")
-    X = sample(gm, n_samples, seed)
-    ys = evaluate_batch(s, X)
+    # the samples are freed before the histogram and the KDE
+    ys = evaluate_batch(s, sample(gm, n_samples, seed))
     if ys.max() == ys.min():
         # zero-variance surrogate: all mass in one bin, KDE undefined
         y0 = float(ys[0])

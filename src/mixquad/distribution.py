@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .basis import _graded_lex, _index_count, _parent_table
+from .basis import EVAL_CHUNK, _graded_lex, _index_count, _parent_table
 
 __all__ = [
     "GaussianMixture",
@@ -153,8 +153,11 @@ class MomentTable:
 def sample(gm, n, seed):
     """Draw n i.i.d. vectors from the mixture.
 
-    Component labels are drawn first, then each component's block is filled
-    from standard normals pushed through that component's Cholesky factor.
+    Component labels are drawn first, then each component's rows are filled
+    from standard normals pushed through that component's Cholesky factor,
+    EVAL_CHUNK rows at a time: consecutive draws give the numbers that one
+    draw over all of a component's rows gives, and the temporaries stay
+    small.
     Deterministic given the seed.
 
     Returns
@@ -169,9 +172,11 @@ def sample(gm, n, seed):
     comps = rng.choice(K, size=n, p=gm.mix_weights)
     X = np.empty((n, d))
     for k in range(K):
-        mask = comps == k
+        rows = np.flatnonzero(comps == k)
         L = gm._chols[k]
-        X[mask] = gm.means[k] + rng.standard_normal((int(mask.sum()), d)) @ L.T
+        for lo in range(0, len(rows), EVAL_CHUNK):
+            block = rows[lo : lo + EVAL_CHUNK]
+            X[block] = gm.means[k] + rng.standard_normal((len(block), d)) @ L.T
     return X
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import _lapack
-from .basis import _jacobian, _monomials, _one_blas_thread, _points
+from .basis import EVAL_CHUNK, _jacobian, _monomials, _one_blas_thread, _points
 from .basis import eval_basis_batch, eval_basis_jacobian_batch
 from .distribution import raw_moments, sample
 # perfbench/child.py reads rule_to_json and rule_from_json from this module
@@ -53,6 +53,8 @@ GN_DAMPING = 1e-6
 LINE_SEARCH_SHRINK = 0.5
 # nodes at most this far apart (Euclidean) count as one in the decrease phase
 COINCIDENT_TOL = 1e-6
+# largest distance the start clustering's float32 buffer holds
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -286,17 +288,23 @@ def bcd_solve(basis, start, cfg):
 
 
 def _distances(X):
-    """Euclidean distances between the rows of X, condensed in pdist order.
+    """Euclidean distances between the rows of X, condensed in pdist order, in float32.
 
     Row i's distances to rows i + 1, ..., n - 1 fill one run of the result.
     Blocks of n // 256 rows take their differences to all later rows at
-    once, in two temporaries of under 2% of the result. Squares are summed
-    coordinate by coordinate before the square root, as
-    scipy.spatial.distance.pdist sums them, so the result is pdist(X) bit
-    for bit.
+    once, in two float64 temporaries of about 3% of the result. Squares are
+    summed coordinate by coordinate before the square root, as
+    scipy.spatial.distance.pdist sums them, so each distance is pdist(X)'s
+    bit for bit until it is stored rounded to float32.
+
+    Raises
+    ------
+    ValueError
+        If a distance is not finite or lies beyond the float32 range; the
+        float64 values are checked before the cast.
     """
     n, d = X.shape
-    out = np.empty(n * (n - 1) // 2)
+    out = np.empty(n * (n - 1) // 2, dtype=np.float32)
     Xt = np.ascontiguousarray(X.T)
     B = max(1, n // 256)
     acc, tmp = np.empty((2, B * n))
@@ -309,10 +317,19 @@ def _distances(X):
         for j in range(1, d):
             np.subtract(Xt[j, i : i + rows, None], Xt[j, i + 1 :], out=t)
             sq += np.multiply(t, t, out=t)
+        # every entry of the block is a distance between two samples
+        top = np.sqrt(sq, out=sq).max()
+        if not np.isfinite(top):
+            raise ValueError("the distances between candidate samples must be finite")
+        if top > FLOAT32_MAX:
+            raise ValueError(
+                f"distance {top:.3e} between candidate samples exceeds the float32 "
+                f"range (at most {FLOAT32_MAX:.3e})"
+            )
         for r in range(rows):
             out[start : start + m - r] = sq[r, r:]
             start += m - r
-    return np.sqrt(out, out=out)
+    return out
 
 
 def _complete_linkage(X):
@@ -320,26 +337,31 @@ def _complete_linkage(X):
 
     The merge list of scipy.cluster.hierarchy.linkage(X, "complete"), which
     runs the same chain (Murtagh 1983; Mullner 2011, arXiv:1109.2378) on a
-    private copy of pdist(X), made in one condensed buffer of the distances
-    that the merges overwrite. Slot i starts as sample i. The chain restarts
-    at the lowest live slot; its tip moves to its nearest live slot, on ties
-    the previous chain element and then the lowest index, until two slots
-    are each other's nearest. Their cluster takes the higher slot, its
-    distances the larger of the two (the Lance-Williams rule of complete
-    linkage), and the lower slot's distances become inf, so no dead slot is
-    ever nearest.
+    private float64 copy of pdist(X), made in one condensed float32 buffer
+    of the distances (_distances) that the merges overwrite. Slot i starts
+    as sample i. The chain restarts at the lowest live slot; its tip moves
+    to its nearest live slot, on ties the previous chain element and then
+    the lowest index, until two slots are each other's nearest. Their
+    cluster takes the higher slot, its distances the larger of the two (the
+    Lance-Williams rule of complete linkage), and the lower slot's distances
+    become inf, so no dead slot is ever nearest.
+
+    The buffer holds each float64 distance of scipy's run rounded to
+    float32: rounding is monotone, so max(round(a), round(b)) = round(max(a,
+    b)) and a strict float32 < is a strict float64 <. Only float32
+    equalities are undecided, and the exact float64 complete-linkage
+    distance, the largest distance between members of the two clusters,
+    decides them: a tie at the tip's minimum (_nearest), and a run of equal
+    float32 heights in the final sort.
 
     Returns
     -------
-    (pairs, heights) : int array (n - 1, 2), float array (n - 1,)
-        Merge k joins the clusters in slots pairs[k, 0] < pairs[k, 1] at
-        distance heights[k]; merges are stably sorted by height, as scipy
-        sorts them.
+    int array (n - 1, 2)
+        Merge k joins the clusters in slots pairs[k, 0] < pairs[k, 1];
+        merges are stably sorted by height, as scipy sorts them.
     """
     n = len(X)
     D = _distances(X)
-    if not np.isfinite(D.max(initial=0.0)):
-        raise ValueError("the distances between candidate samples must be finite")
     # slot x's distance to slot i < x is D[x - 1 + col[i]]; to slots
     # x + 1, ..., n - 1 it is the run of D from run[x] on
     ids = np.arange(n)
@@ -356,10 +378,10 @@ def _complete_linkage(X):
         D[run[x] : run[x] + n - x - 1] = values[x + 1 :]
 
     pairs = np.empty((n - 1, 2), dtype=np.intp)
-    heights = np.empty(n - 1)
+    heights = np.empty(n - 1, dtype=np.float32)
     # the rows of the chain's tip and of the element below it, which is
     # current when no merge came after the tip was pushed
-    tip, below, current = np.empty(n), np.empty(n), False
+    tip, below, current = np.empty(n, np.float32), np.empty(n, np.float32), False
     chain, dead, low = [], np.zeros(n, dtype=bool), 0
     for k in range(n - 1):
         if not chain:
@@ -370,8 +392,10 @@ def _complete_linkage(X):
             x = chain[-1]
             gather(x, tip)
             y = int(tip.argmin())
-            if len(chain) > 1 and not tip[y] < tip[chain[-2]]:
-                y = chain[-2]
+            prev = chain[-2] if len(chain) > 1 else -1
+            if (tip[y + 1 :] == tip[y]).any():
+                y = _nearest(X, pairs[:k], x, np.flatnonzero(tip == tip[y]), prev)
+            if y == prev:
                 break
             chain.append(y)
             tip, below, current = below, tip, True
@@ -387,34 +411,87 @@ def _complete_linkage(X):
         dead[a] = True
         current = False
     order = np.argsort(heights, kind="stable")
-    return pairs[order], heights[order]
+    h = heights[order]
+    for v in set(h[1:][h[1:] == h[:-1]].tolist()):
+        tied = order[h == v]
+        exact = [_exact_distances(X, pairs[:k], pairs[k, 0], pairs[k, 1:])[0] for k in tied]
+        order[h == v] = tied[np.argsort(exact, kind="stable")]
+    return pairs[order]
 
 
-def _centroids(X, Z, M):
-    """M start nodes from the cloud X and its linkage Z = (pairs, heights).
+def _nearest(X, merged, x, tied, prev):
+    """The chain's next slot when slots tied share the float32 minimum of x's row.
 
-    Cutting Z into M clusters, the nodes are the component-wise means of the
-    clusters, in the order of their smallest sample indices.
+    merged holds the merges made so far. The next slot is the lowest one
+    among the exact minima, unless the previous chain element prev is one of
+    them: then x and prev are each other's nearest and prev is returned.
     """
-    labels = _cut_labels(Z[0], M)
+    exact = _exact_distances(X, merged, x, tied)
+    if prev in tied and exact[tied == prev][0] == exact.min():
+        return prev
+    return int(tied[exact.argmin()])
+
+
+def _exact_distances(X, merged, s, others):
+    """Float64 complete-linkage distances from slot s to each of others after merged.
+
+    Each is the largest distance between a member of one cluster and a
+    member of the other, computed as _distances computes it (squares summed
+    coordinate by coordinate, then the square root), so it is the value
+    scipy's float64 buffer holds.
+    """
+    roots = _roots(merged, len(X))
+    A = X[roots == s]
+    out = np.empty(len(others))
+    for i, o in enumerate(others):
+        B = X[roots == o]
+        # row blocks of about EVAL_CHUNK pairs keep the temporaries small
+        step = max(1, EVAL_CHUNK // len(B))
+        top = 0.0
+        for lo in range(0, len(A), step):
+            P = A[lo : lo + step]
+            sq = np.subtract.outer(P[:, 0], B[:, 0])
+            sq *= sq
+            for j in range(1, X.shape[1]):
+                t = np.subtract.outer(P[:, j], B[:, j])
+                sq += np.multiply(t, t, out=t)
+            top = max(top, sq.max())
+        out[i] = np.sqrt(top)
+    return out
+
+
+def _centroids(X, pairs, M):
+    """M start nodes from the cloud X and its merge list pairs (_complete_linkage).
+
+    Cutting the merges into M clusters, the nodes are the component-wise
+    means of the clusters, in the order of their smallest sample indices.
+    """
+    labels = _cut_labels(pairs, M)
     return np.array([X[labels == c].mean(axis=0) for c in range(M)])
+
+
+def _roots(merged, n):
+    """The slot that holds each of n samples after the merges in merged.
+
+    Merge k moves the cluster of slot merged[k, 0] into the higher slot
+    merged[k, 1], and no slot is emptied twice, so up[x] = y over the merges
+    is a forest whose roots pointer doubling finds.
+    """
+    up = np.arange(n)
+    up[merged[:, 0]] = merged[:, 1]
+    while not np.array_equal(up, up[up]):
+        up = up[up]
+    return up
 
 
 def _cut_labels(pairs, M):
     """Cluster of each sample after the first n - M merges of a linkage.
 
-    Merge k moves the cluster of slot pairs[k, 0] into the higher slot
-    pairs[k, 1], and no slot is emptied twice, so up[x] = y over those
-    merges is a forest whose roots pointer doubling finds. Clusters are
-    numbered by their smallest member, which is cut_tree's numbering
-    whenever the merge heights are distinct.
+    Clusters are numbered by their smallest member, which is cut_tree's
+    numbering whenever the merge heights are distinct.
     """
     n = len(pairs) + 1
-    up = np.arange(n)
-    up[pairs[: n - M, 0]] = pairs[: n - M, 1]
-    while not np.array_equal(up, up[up]):
-        up = up[up]
-    _, first, root = np.unique(up, return_index=True, return_inverse=True)
+    _, first, root = np.unique(_roots(pairs[: n - M], n), return_index=True, return_inverse=True)
     return np.searchsorted(np.sort(first), first)[root]
 
 
@@ -476,8 +553,8 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
         while M < comb(d + basis.order // 2, d):
             M = ceil(INCREASE_FACTOR * M)
     X = sample(gm, cap, cfg.seed)
-    Z = _complete_linkage(X)
-    start = _gauss_nodes(basis, gm) if d == 1 else _centroids(X, Z, M)
+    pairs = _complete_linkage(X)
+    start = _gauss_nodes(basis, gm) if d == 1 else _centroids(X, pairs, M)
     while True:
         rule = bcd_solve(basis, start, cfg)
         if rule.converged:
@@ -487,7 +564,7 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
             phi = assemble_phi(basis, X)
             _, best = residual(phi, solve_weights(phi)[0])
             raise IncreasePhaseError(M, cap, rule.residual_norm, best, cfg.residual_tol)
-        start = _centroids(X, Z, M)
+        start = _centroids(X, pairs, M)
     if on_accept is not None:
         on_accept(rule)
     while rule.n_nodes > 1:

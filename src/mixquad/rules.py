@@ -68,6 +68,7 @@ class QuadratureRule:
             raise ValueError("nodes must be finite")
         if not (np.isfinite(self.weights).all() and (self.weights >= 0).all()):
             raise ValueError("weights must be finite and nonnegative, exactly")
+        _check_residual("residual_norm", self.residual_norm)
 
     @property
     def n_nodes(self):
@@ -101,11 +102,18 @@ class Surrogate:
             )
         if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
+        _check_residual("rule_residual", self.rule_residual)
         object.__setattr__(self, "coefficients", c)
 
 
+def _check_residual(name, value):
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 def _dumps(obj):
-    return json.dumps(obj, indent=2) + "\n"
+    """Strict JSON: a NaN or an infinity raises instead of being written."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _loads(text, kind, build):

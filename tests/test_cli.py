@@ -400,16 +400,22 @@ class TestBasisReuse:
         ("rule.json", "weights", 3, float("inf"), "weights must be finite"),
         ("rule.json", "nodes", (1, 2), float("inf"), "nodes must be finite"),
         ("surrogate.json", "coefficients", 1, float("nan"), "coefficients must be finite"),
-    ], ids=["rule-nan-weight", "rule-inf-weight", "rule-inf-node", "surrogate-nan-coefficient"])
+        ("rule.json", "residual_norm", None, float("nan"), "residual_norm must be finite"),
+        ("surrogate.json", "rule_residual", None, float("inf"), "rule_residual must be finite"),
+    ], ids=["rule-nan-weight", "rule-inf-weight", "rule-inf-node", "surrogate-nan-coefficient",
+            "rule-nan-residual", "surrogate-inf-residual"])
     def test_non_finite_artifact_is_rejected_on_read(self, gm4_p1, tmp_path, capsys, name, field,
                                                      index, bad, message):
         for artifact in ("basis_p.json", "rule.json", "surrogate.json"):
             (tmp_path / artifact).write_bytes((gm4_p1 / artifact).read_bytes())
         obj = json.loads((tmp_path / name).read_text())
-        row = obj[field]
-        if isinstance(index, tuple):
-            row, index = row[index[0]], index[1]
-        row[index] = bad
+        if index is None:
+            obj[field] = bad
+        else:
+            row = obj[field]
+            if isinstance(index, tuple):
+                row, index = row[index[0]], index[1]
+            row[index] = bad
         (tmp_path / name).write_text(json.dumps(obj))
         marker = tmp_path / "model-ran"
         script = tmp_path / "model.py"

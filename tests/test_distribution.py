@@ -10,6 +10,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.testing import assert_allclose
 
 import mixquad as mq
+from mixquad.basis import EVAL_CHUNK
 from mixquad.benchmarks import builtin_mixture
 
 
@@ -161,6 +162,41 @@ class TestSample:
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValueError):
             mq.sample(gauss1d(), 0, seed=0)
+
+    @pytest.mark.parametrize("gm, n, seed", [
+        *[(name, n, seed) for name in ("gm4", "gm6") for n in (1, 3 * EVAL_CHUNK + 5)
+          for seed in range(3)],
+        ("two_point_1d", 3 * EVAL_CHUNK + 5, 0),
+        ("gm6", 100_000, 1),
+    ])
+    def test_row_blocks_draw_the_one_shot_samples(self, gm, n, seed):
+        gm = two_point_1d() if gm == "two_point_1d" else builtin_mixture(gm)
+        assert np.array_equal(mq.sample(gm, n, seed), _one_shot_sample(gm, n, seed))
+
+    def test_peak_memory_is_about_the_result(self):
+        import tracemalloc
+
+        n, gm = 100_000, builtin_mixture("gm6")
+        mq.sample(gm, 10, seed=0)  # the generator's first use imports modules
+        tracemalloc.start()
+        try:
+            mq.sample(gm, n, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * n * gm.dim * 8
+
+
+def _one_shot_sample(gm, n, seed):
+    """sample as it first ran: one draw and one product per component."""
+    rng = np.random.default_rng(seed)
+    comps = rng.choice(gm.n_components, size=n, p=gm.mix_weights)
+    X = np.empty((n, gm.dim))
+    for k in range(gm.n_components):
+        mask = comps == k
+        L = np.linalg.cholesky(gm.covariances[k])
+        X[mask] = gm.means[k] + rng.standard_normal((int(mask.sum()), gm.dim)) @ L.T
+    return X
 
 
 class TestRawMoments:

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.cluster.hierarchy import cut_tree, linkage
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import nnls
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
 import mixquad as mq
 from mixquad import _lapack, quadrature
@@ -650,15 +650,31 @@ class TestInitNodes:
         # itself, and its cut can differ between two tied merges)
         axes = np.meshgrid(np.arange(5.0), np.arange(5.0), np.arange(3.0), indexing="ij")
         X = np.stack(axes, axis=-1).reshape(-1, 3)
-        pairs, heights = _complete_linkage(X)
+        pairs = _complete_linkage(X)
         Z = linkage(X, method="complete")
-        assert np.array_equal(heights, Z[:, 2])
+        assert np.array_equal(merge_heights(X, pairs), Z[:, 2])
         for M in range(1, len(X) + 1):
             cut = _cut_labels(pairs, M)
             assert np.array_equal(cut, scipy_cut(Z, M)), M
             labels, first = np.unique(cut, return_index=True)
             assert np.array_equal(labels, np.arange(M))
             assert np.all(np.diff(first) > 0)
+
+
+def merge_heights(X, pairs):
+    """Height of each merge of a sorted merge list, recomputed from pdist.
+
+    The largest pdist distance between the members of the two clusters it
+    joins: the complete-linkage distance scipy reports in Z[:, 2].
+    """
+    D = squareform(pdist(X))
+    members = {i: [i] for i in range(len(X))}
+    heights = []
+    for a, b in pairs.tolist():
+        A, B = members.pop(a), members[b]
+        heights.append(D[np.ix_(A, B)].max())
+        B.extend(A)
+    return np.array(heights)
 
 
 def scipy_cut(Z, M):
@@ -682,11 +698,28 @@ class TestCompleteLinkage:
     def test_matches_scipy_on_sampled_clouds(self, name, n):
         # n = 2100 at seed 0 is the candidate cloud of gm6 at p=2
         X = mq.sample(builtin_mixture(name), n, 0)
-        assert np.array_equal(_distances(X), pdist(X))
-        pairs, heights = _complete_linkage(X)
+        assert np.array_equal(_distances(X), pdist(X).astype(np.float32))
+        pairs = _complete_linkage(X)
         Z = linkage(X, method="complete")
-        assert np.array_equal(heights, Z[:, 2])
+        assert np.array_equal(merge_heights(X, pairs), Z[:, 2])
         for M in range(1, n):
+            assert np.array_equal(_cut_labels(pairs, M), scipy_cut(Z, M)), M
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float64_decides_near_ties_as_scipy_does(self, seed):
+        # a lattice moved by less than float32 resolves: its distances tie in
+        # float32 but not in float64, so every float32 tie the chain meets is
+        # decided by the exact distances
+        axes = np.meshgrid(np.arange(5.0), np.arange(5.0), np.arange(3.0), indexing="ij")
+        lattice = np.stack(axes, axis=-1).reshape(-1, 3)
+        X = lattice + np.random.default_rng(seed).uniform(-1e-9, 1e-9, lattice.shape)
+        D = pdist(X)
+        assert len(np.unique(D)) == len(D)
+        assert np.array_equal(D.astype(np.float32), pdist(lattice).astype(np.float32))
+        pairs = _complete_linkage(X)
+        Z = linkage(X, method="complete")
+        assert np.array_equal(merge_heights(X, pairs), Z[:, 2])
+        for M in range(1, len(X) + 1):
             assert np.array_equal(_cut_labels(pairs, M), scipy_cut(Z, M)), M
 
     def test_peak_memory_is_one_distance_buffer(self):
@@ -703,11 +736,17 @@ class TestCompleteLinkage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * 8 * n * (n - 1) / 2
+        assert peak <= 1.1 * 4 * n * (n - 1) / 2
 
     def test_non_finite_distances_rejected(self):
         X = np.array([[0.0, 0.0], [1e200, 0.0], [1.0, 1.0]])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+            _complete_linkage(X)
+
+    def test_distances_beyond_the_float32_range_rejected(self):
+        # finite in float64, so only the float32 buffer cannot hold them
+        X = np.array([[0.0, 0.0], [1e39, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="float32 range"):
             _complete_linkage(X)
 
 

@@ -77,3 +77,19 @@ def test_damaged_json_document_names_its_kind(kind, damage):
     bad = text[: len(text) // 2] if damage == "truncated" else "[1, 2]"
     with pytest.raises(ValueError, match=f"malformed {kind} document"):
         read(bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-12])
+def test_rule_and_surrogate_reject_a_bad_residual(bad):
+    r, s = rule(), surrogate()
+    with pytest.raises(ValueError, match="residual_norm must be finite and nonnegative"):
+        mq.QuadratureRule(nodes=r.nodes, weights=r.weights, residual_norm=bad, basis_order=4)
+    with pytest.raises(ValueError, match="rule_residual must be finite and nonnegative"):
+        mq.Surrogate(s.basis, s.coefficients, rule_residual=bad)
+
+
+def test_documents_are_strict_json():
+    from mixquad.rules import stats_to_json
+
+    with pytest.raises(ValueError, match="JSON compliant"):
+        stats_to_json(0.0, float("inf"), float("inf"))
