@@ -19,7 +19,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import _lapack
-from .basis import EVAL_CHUNK, _jacobian, _monomials, _one_blas_thread, _points
+from .basis import _jacobian, _monomials, _one_blas_thread, _points
 from .basis import eval_basis_batch, eval_basis_jacobian_batch
 from .distribution import raw_moments, sample
 # perfbench/child.py reads rule_to_json and rule_from_json from this module
@@ -335,24 +335,17 @@ def _distances(X):
 def _complete_linkage(X):
     """Complete linkage of the rows of X by the nearest-neighbour chain, in place.
 
-    The merge list of scipy.cluster.hierarchy.linkage(X, "complete"), which
-    runs the same chain (Murtagh 1983; Mullner 2011, arXiv:1109.2378) on a
-    private float64 copy of pdist(X), made in one condensed float32 buffer
-    of the distances (_distances) that the merges overwrite. Slot i starts
-    as sample i. The chain restarts at the lowest live slot; its tip moves
-    to its nearest live slot, on ties the previous chain element and then
-    the lowest index, until two slots are each other's nearest. Their
-    cluster takes the higher slot, its distances the larger of the two (the
-    Lance-Williams rule of complete linkage), and the lower slot's distances
-    become inf, so no dead slot is ever nearest.
-
-    The buffer holds each float64 distance of scipy's run rounded to
-    float32: rounding is monotone, so max(round(a), round(b)) = round(max(a,
-    b)) and a strict float32 < is a strict float64 <. Only float32
-    equalities are undecided, and the exact float64 complete-linkage
-    distance, the largest distance between members of the two clusters,
-    decides them: a tie at the tip's minimum (_nearest), and a run of equal
-    float32 heights in the final sort.
+    The merge list of scipy.cluster.hierarchy.linkage on pdist(X) rounded to
+    float32, bit for bit: the same chain (Murtagh 1983; Mullner 2011,
+    arXiv:1109.2378) made in one condensed float32 buffer of the distances
+    (_distances) that the merges overwrite. Slot i starts as sample i. The
+    chain restarts at the lowest live slot; its tip moves to its nearest
+    live slot, on ties the previous chain element and then the lowest index,
+    until two slots are each other's nearest. Their cluster takes the higher
+    slot, its distances the larger of the two (the Lance-Williams rule of
+    complete linkage), and the lower slot's distances become inf, so no dead
+    slot is ever nearest. Complete linkage reads distances only through max
+    and comparisons, so no step rounds again.
 
     Returns
     -------
@@ -392,10 +385,8 @@ def _complete_linkage(X):
             x = chain[-1]
             gather(x, tip)
             y = int(tip.argmin())
-            prev = chain[-2] if len(chain) > 1 else -1
-            if (tip[y + 1 :] == tip[y]).any():
-                y = _nearest(X, pairs[:k], x, np.flatnonzero(tip == tip[y]), prev)
-            if y == prev:
+            if len(chain) > 1 and tip[chain[-2]] == tip[y]:
+                y = chain[-2]
                 break
             chain.append(y)
             tip, below, current = below, tip, True
@@ -410,54 +401,7 @@ def _complete_linkage(X):
         scatter(a, tip)
         dead[a] = True
         current = False
-    order = np.argsort(heights, kind="stable")
-    h = heights[order]
-    for v in set(h[1:][h[1:] == h[:-1]].tolist()):
-        tied = order[h == v]
-        exact = [_exact_distances(X, pairs[:k], pairs[k, 0], pairs[k, 1:])[0] for k in tied]
-        order[h == v] = tied[np.argsort(exact, kind="stable")]
-    return pairs[order]
-
-
-def _nearest(X, merged, x, tied, prev):
-    """The chain's next slot when slots tied share the float32 minimum of x's row.
-
-    merged holds the merges made so far. The next slot is the lowest one
-    among the exact minima, unless the previous chain element prev is one of
-    them: then x and prev are each other's nearest and prev is returned.
-    """
-    exact = _exact_distances(X, merged, x, tied)
-    if prev in tied and exact[tied == prev][0] == exact.min():
-        return prev
-    return int(tied[exact.argmin()])
-
-
-def _exact_distances(X, merged, s, others):
-    """Float64 complete-linkage distances from slot s to each of others after merged.
-
-    Each is the largest distance between a member of one cluster and a
-    member of the other, computed as _distances computes it (squares summed
-    coordinate by coordinate, then the square root), so it is the value
-    scipy's float64 buffer holds.
-    """
-    roots = _roots(merged, len(X))
-    A = X[roots == s]
-    out = np.empty(len(others))
-    for i, o in enumerate(others):
-        B = X[roots == o]
-        # row blocks of about EVAL_CHUNK pairs keep the temporaries small
-        step = max(1, EVAL_CHUNK // len(B))
-        top = 0.0
-        for lo in range(0, len(A), step):
-            P = A[lo : lo + step]
-            sq = np.subtract.outer(P[:, 0], B[:, 0])
-            sq *= sq
-            for j in range(1, X.shape[1]):
-                t = np.subtract.outer(P[:, j], B[:, j])
-                sq += np.multiply(t, t, out=t)
-            top = max(top, sq.max())
-        out[i] = np.sqrt(top)
-    return out
+    return pairs[np.argsort(heights, kind="stable")]
 
 
 def _centroids(X, pairs, M):
@@ -470,28 +414,21 @@ def _centroids(X, pairs, M):
     return np.array([X[labels == c].mean(axis=0) for c in range(M)])
 
 
-def _roots(merged, n):
-    """The slot that holds each of n samples after the merges in merged.
-
-    Merge k moves the cluster of slot merged[k, 0] into the higher slot
-    merged[k, 1], and no slot is emptied twice, so up[x] = y over the merges
-    is a forest whose roots pointer doubling finds.
-    """
-    up = np.arange(n)
-    up[merged[:, 0]] = merged[:, 1]
-    while not np.array_equal(up, up[up]):
-        up = up[up]
-    return up
-
-
 def _cut_labels(pairs, M):
     """Cluster of each sample after the first n - M merges of a linkage.
 
     Clusters are numbered by their smallest member, which is cut_tree's
-    numbering whenever the merge heights are distinct.
+    numbering whenever the merge heights are distinct. Merge k moves the
+    cluster of slot pairs[k, 0] into the higher slot pairs[k, 1], and no
+    slot is emptied twice, so up[x] = y over the merges is a forest whose
+    roots pointer doubling finds.
     """
     n = len(pairs) + 1
-    _, first, root = np.unique(_roots(pairs[: n - M], n), return_index=True, return_inverse=True)
+    up = np.arange(n)
+    up[pairs[: n - M, 0]] = pairs[: n - M, 1]
+    while not np.array_equal(up, up[up]):
+        up = up[up]
+    _, first, root = np.unique(up, return_index=True, return_inverse=True)
     return np.searchsorted(np.sort(first), first)[root]
 
 

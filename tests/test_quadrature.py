@@ -28,6 +28,7 @@ from mixquad.quadrature import (
     _damped_step,
     _distances,
 )
+from mixquad.rules import rule_to_json
 
 
 def gauss1d():
@@ -308,6 +309,22 @@ class TestGaussNewtonStep:
             assert np.array_equal(_damped_step(J, r, lam), ref)
 
 
+# gm4 at p=1 and corr2d at p=2: the basis and the whole solver in well under 2 s
+ROUTE_CASES = [(gm4(), 2), (corr2d(), 4)]
+
+
+def route_rule(gm, order):
+    """rule_to_json of the seed-0 rule of a case, on the routines _lapack holds now."""
+    return rule_to_json(mq.adaptive_rule(basis_for(gm, order), gm, mq.SolverConfig(seed=0)))
+
+
+@pytest.fixture(scope="module")
+def import_route_rules():
+    """The ROUTE_CASES rules on the routes _lapack binds at import (the direct one
+    where scipy's wheel has the files), made before a lapack_route replaces them."""
+    return [route_rule(gm, order) for gm, order in ROUTE_CASES]
+
+
 class TestLapackRoutes:
     """The routines of mixquad._lapack on both routes against scipy's public functions."""
 
@@ -370,6 +387,10 @@ class TestLapackRoutes:
                 lapack_route.nnls(bad_A, bad_b)
         x, _ = lapack_route.nnls(A, np.ones((3, 1)))
         assert x.shape == (2,)
+
+    def test_rules_are_those_of_the_routes_bound_at_import(self, lapack_route, import_route_rules):
+        # so a scipy without the bundled files cannot change a rule silently
+        assert [route_rule(gm, order) for gm, order in ROUTE_CASES] == import_route_rules
 
     def test_direct_nnls_reports_its_iteration_limit(self, monkeypatch):
         calls = []
@@ -706,10 +727,10 @@ class TestCompleteLinkage:
             assert np.array_equal(_cut_labels(pairs, M), scipy_cut(Z, M)), M
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_float64_decides_near_ties_as_scipy_does(self, seed):
+    def test_float32_ties_are_decided_as_scipy_decides_them(self, seed):
         # a lattice moved by less than float32 resolves: its distances tie in
-        # float32 but not in float64, so every float32 tie the chain meets is
-        # decided by the exact distances
+        # float32 but not in float64, so the linkage is the plain lattice's,
+        # and scipy's on the float32-rounded distances with every tie rule
         axes = np.meshgrid(np.arange(5.0), np.arange(5.0), np.arange(3.0), indexing="ij")
         lattice = np.stack(axes, axis=-1).reshape(-1, 3)
         X = lattice + np.random.default_rng(seed).uniform(-1e-9, 1e-9, lattice.shape)
@@ -717,9 +738,20 @@ class TestCompleteLinkage:
         assert len(np.unique(D)) == len(D)
         assert np.array_equal(D.astype(np.float32), pdist(lattice).astype(np.float32))
         pairs = _complete_linkage(X)
-        Z = linkage(X, method="complete")
-        assert np.array_equal(merge_heights(X, pairs), Z[:, 2])
+        assert np.array_equal(pairs, _complete_linkage(lattice))
+        Z = linkage(D.astype(np.float32).astype(np.float64), method="complete")
+        # rounding is monotone, so each float32 height is the rounded float64 one
+        assert np.array_equal(merge_heights(X, pairs).astype(np.float32), Z[:, 2])
         for M in range(1, len(X) + 1):
+            assert np.array_equal(_cut_labels(pairs, M), scipy_cut(Z, M)), M
+
+    def test_large_tied_lattice_matches_scipy(self):
+        # 2,000 points whose distances tie in float32 and float64 alike
+        axes = np.meshgrid(np.arange(20.0), np.arange(10.0), np.arange(10.0), indexing="ij")
+        X = np.stack(axes, axis=-1).reshape(-1, 3)
+        pairs = _complete_linkage(X)
+        Z = linkage(pdist(X).astype(np.float32).astype(np.float64), method="complete")
+        for M in (1, 2, 10, 100, 1000, 1999):
             assert np.array_equal(_cut_labels(pairs, M), scipy_cut(Z, M)), M
 
     def test_peak_memory_is_one_distance_buffer(self):
