@@ -155,8 +155,8 @@ def cmd_stats(args):
     out = Path(args.out)
     surr = _read(out / "surrogate.json", rules.surrogate_from_json)
     mean, variance, std = statistics(surr)
-    _write(out / "stats.json", rules.stats_to_json(mean, variance, std))
     dens = density_estimate(surr, gm, args.n_samples, args.seed, n_bins=args.bins)
+    _write(out / "stats.json", rules.stats_to_json(mean, variance, std))
     centers = 0.5 * (dens.bin_edges[:-1] + dens.bin_edges[1:])
     widths = np.diff(dens.bin_edges)
     hist = zip(centers.tolist(), widths.tolist(), dens.bin_density.tolist())
@@ -177,7 +177,7 @@ def cmd_sample(args):
     return 0
 
 
-def _order(text):
+def _nonnegative(text):
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return int(text)
@@ -190,9 +190,9 @@ def build_parser():
         required=True,
         help="mixture JSON path or builtin:<name> (builtin:gm6, builtin:gm4)",
     )
-    shared.add_argument("--order", type=_order, default=2, metavar="P",
+    shared.add_argument("--order", type=_nonnegative, default=2, metavar="P",
                         help="surrogate total order p (default 2)")
-    shared.add_argument("--seed", type=int, default=0, help="seed (default 0)")
+    shared.add_argument("--seed", type=_nonnegative, default=0, help="seed (default 0)")
     shared.add_argument("--tol", type=float, default=1e-8,
                         help="quadrature residual tolerance (default 1e-8)")
     shared.add_argument("--out", default=".", help="output directory (default .)")

@@ -11,6 +11,7 @@ batch simulators, or a line-oriented subprocess protocol.
 import shlex
 import subprocess
 from dataclasses import dataclass
+from math import ceil
 
 import numpy as np
 
@@ -165,8 +166,9 @@ def statistics(s):
 class DensityEstimate:
     """Normalized histogram plus Gaussian-kernel KDE of surrogate outputs.
 
-    The KDE is linearly binned (see density_estimate); kde_points are 512
-    evenly spaced points from min - 3h to max + 3h for bandwidth h.
+    The KDE is linearly binned (see density_estimate); kde_points are evenly
+    spaced from min - 3h to max + 3h for bandwidth h, at most h/2 apart and
+    never fewer than 512.
     degenerate marks a zero-variance output (single occupied bin, no KDE).
     outputs keeps the raw surrogate samples for downstream checks.
     """
@@ -180,10 +182,10 @@ class DensityEstimate:
 
 
 def _binned_kde(ys, h, pts):
-    """Gaussian KDE of ys with bandwidth h at evenly spaced pts.
+    """Gaussian KDE of ys with bandwidth h at evenly spaced pts at most h/2 apart.
 
     Linear binning (Silverman 1982, AS 176; Wand 1994): the output spacing is
-    refined by an integer factor k so the grid spacing is at most h/8 and
+    refined by the factor k = 8, so the grid spacing is at most h/16 and
     every output point is a grid point; each sample splits its unit mass
     between its two neighbouring grid points, and the bin masses are
     convolved with the kernel sampled out to +-8h. Every sample must lie
@@ -191,7 +193,7 @@ def _binned_kde(ys, h, pts):
     """
     n = ys.size
     step = float(pts[1] - pts[0])
-    k = max(8, int(np.ceil(8.0 * step / h)))
+    k = 8
     n_grid = (pts.size - 1) * k + 1
     delta = step / k
     t = (ys - pts[0]) / delta
@@ -234,7 +236,8 @@ def density_estimate(s, gm, n_samples, seed, n_bins=60):
         )
     bin_density, bin_edges = np.histogram(ys, bins=n_bins, density=True)
     bw = float(np.std(ys, ddof=1)) * (0.75 * ys.size) ** -0.2
-    pts = np.linspace(ys.min() - 3.0 * bw, ys.max() + 3.0 * bw, 512)
+    lo, hi = ys.min() - 3.0 * bw, ys.max() + 3.0 * bw
+    pts = np.linspace(lo, hi, max(512, ceil(2.0 * (hi - lo) / bw) + 1))
     return DensityEstimate(
         bin_edges=bin_edges,
         bin_density=bin_density,

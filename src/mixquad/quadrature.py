@@ -70,6 +70,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.residual_tol < np.inf:
             raise ValueError(f"residual_tol must be finite and > 0, got {self.residual_tol!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 def assemble_phi(basis, nodes):

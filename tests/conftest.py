@@ -1,10 +1,9 @@
 """Let the `python -m mixquad` child processes of the tests import the package from src.
 
-Also the `lapack_route` fixture shared by the basis and solver tests.
+Also the `nnls_route` fixture of the solver tests.
 """
 
 import os
-from types import SimpleNamespace
 
 import pytest
 
@@ -13,22 +12,19 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PY
 
 
 @pytest.fixture(params=["direct", "scipy"])
-def lapack_route(request, monkeypatch):
-    """The routines of mixquad._lapack bound by one route, and installed for the test.
+def nnls_route(request, monkeypatch):
+    """mixquad._lapack.nnls bound by one route, and installed for the test.
 
-    "direct" calls the compiled code of scipy's wheel; "scipy" is the route
-    of a build without those files, forced by locators that find nothing.
-    The routines replace the module's own for the test, so the basis
-    constructor and the solver run on them too.
+    "direct" calls scipy's compiled NNLS extension; "scipy" is the route of
+    a build without it, scipy.optimize.nnls, forced by a probe that finds
+    nothing. The routine replaces the module's own for the test, so the
+    solver runs on it too.
     """
     from mixquad import _lapack
 
     if request.param == "scipy":
-        monkeypatch.setattr(_lapack, "_bundled_openblas", lambda package: ())
         monkeypatch.setattr(_lapack, "_nnls_extension", lambda: None)
-    elif _lapack._lapack_functions() is None or _lapack._nnls_extension() is None:
-        pytest.skip("this scipy build bundles no LAPACK symbols or NNLS extension")
-    routines = dict(zip(("dpotrf", "dpotrs", "solve_triangular", "nnls"), _lapack._routines()))
-    for name, fn in routines.items():
-        monkeypatch.setattr(_lapack, name, fn)
-    return SimpleNamespace(**routines)
+    elif _lapack._nnls_extension() is None:
+        pytest.skip("this scipy build has no NNLS extension")
+    monkeypatch.setattr(_lapack, "nnls", _lapack._nnls())
+    return _lapack.nnls

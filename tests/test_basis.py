@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mixquad as mq
-from mixquad import benchmarks
+from mixquad import _lapack, benchmarks
 from mixquad._lapack import blas_thread_controls
 from mixquad.basis import (
     _graded_lex,
@@ -202,9 +202,9 @@ class TestGramSchmidt:
 
 
 class TestLapackRoutes:
-    """The lower Cholesky factor and its inverse on both routes against scipy's functions."""
+    """The lower Cholesky factor and its inverse of _lapack against scipy's functions."""
 
-    def test_lower_cholesky_and_inverse_are_scipys(self, lapack_route):
+    def test_lower_cholesky_and_inverse_are_scipys(self):
         from scipy.linalg import solve_triangular
         from scipy.linalg.lapack import dpotrf
 
@@ -223,7 +223,7 @@ class TestLapackRoutes:
             eye = np.eye(len(G))
             with _one_blas_thread():
                 L_ref, info_ref = dpotrf(G, lower=1, clean=1)
-                L, info = lapack_route.dpotrf(np.array(G, order="F"), lower=True)
+                L, info = _lapack.dpotrf(np.array(G, order="F"), lower=True)
             L[np.triu_indices(len(G), 1)] = 0.0
             infos.append(info)
             assert info == info_ref
@@ -235,20 +235,20 @@ class TestLapackRoutes:
                 continue
             with _one_blas_thread():
                 C_ref = solve_triangular(L_ref, eye, lower=True)
-            assert np.array_equal(lapack_route.solve_triangular(L, eye, lower=True), C_ref)
+            assert np.array_equal(_lapack.solve_triangular(L, eye, lower=True), C_ref)
             assert np.array_equal(mq.gram_schmidt(moments, d, q).coeff_matrix, C_ref)
         assert infos[-3:-1] == [3, 3] and infos[-1] == 0
 
-    def test_triangular_solve_checks_its_arguments(self, lapack_route):
+    def test_triangular_solve_checks_its_arguments(self):
         L = np.asfortranarray(np.tril(np.ones((3, 3))))
         bad = L.copy(order="F")
         bad[2, 0] = np.inf
         with pytest.raises(ValueError, match="infs or NaNs"):
-            lapack_route.solve_triangular(bad, np.eye(3), lower=True)
+            _lapack.solve_triangular(bad, np.eye(3), lower=True)
         singular = L.copy(order="F")
         singular[1, 1] = 0.0
         with pytest.raises(np.linalg.LinAlgError, match="resolution failed at diagonal 1"):
-            lapack_route.solve_triangular(singular, np.eye(3), lower=True)
+            _lapack.solve_triangular(singular, np.eye(3), lower=True)
 
 
 class TestEvalBasis:

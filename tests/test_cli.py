@@ -454,21 +454,22 @@ class TestBasisReuse:
 
     @pytest.mark.parametrize("stage", ["basis", "quadrature"])
     def test_solver_stages_load_no_scipy_package(self, tmp_path, stage):
-        # the one scipy module they load is the compiled NNLS extension, which
-        # mixquad._lapack loads from its file along with the bundled LAPACK
+        # the scipy modules they load are the compiled LAPACK and NNLS modules,
+        # which mixquad._lapack loads from their files
         from mixquad import _lapack
 
-        if _lapack._lapack_functions() is None or _lapack._nnls_extension() is None:
-            pytest.skip("this scipy build bundles no LAPACK symbols or NNLS extension")
+        if _lapack._nnls_extension() is None:
+            pytest.skip("this scipy build has no NNLS extension")
         argv = [stage, "--config", "builtin:gm4", "--order", "1", "--out", str(tmp_path)]
         code = (
             "import sys; from mixquad.cli import main\n"
             f"assert main({argv!r}) == 0\n"
+            "assert not {'scipy', 'scipy.linalg', 'scipy.optimize'} & set(sys.modules)\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == repr([_lapack.NNLS_MODULE])
+        assert proc.stdout.strip() == repr(["scipy.linalg._flapack", "scipy.optimize._slsqplib"])
 
 
 class TestStatsCommand:
@@ -509,6 +510,12 @@ class TestStatsCommand:
         res = run_cli("stats", "--config", cfg2, "--out", tmp_path)
         assert res.returncode == 1 and "surrogate.json" in res.stderr
 
+    def test_failed_run_writes_no_artifact(self, cfg2, pipeline_out, tmp_path):
+        (tmp_path / "surrogate.json").write_bytes((pipeline_out / "surrogate.json").read_bytes())
+        res = run_cli("stats", "--config", cfg2, "--out", tmp_path, "--n-samples", 10)
+        assert res.returncode == 1 and "n_samples" in res.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["surrogate.json"]
+
 
 class TestSampleCommand:
     def test_zero_draws_writes_header_only(self, cfg2, tmp_path):
@@ -540,3 +547,10 @@ class TestParser:
         res = run_cli("basis", "--config", cfg1, "--out", tmp_path, "--order", -1)
         assert res.returncode == 2
         assert "argument --order: must be an integer >= 0, got '-1'" in res.stderr
+
+    @pytest.mark.parametrize("stage", ["quadrature", "stats"])
+    def test_negative_seed_names_the_flag(self, cfg2, tmp_path, stage):
+        res = run_cli(stage, "--config", cfg2, "--out", tmp_path, "--seed", -3)
+        assert res.returncode == 2
+        assert "argument --seed: must be an integer >= 0, got '-3'" in res.stderr
+        assert not any(tmp_path.iterdir())

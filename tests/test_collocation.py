@@ -264,7 +264,7 @@ class TestDensityEstimate:
         assert abs(np.trapezoid(est.kde_density, est.kde_points) - 1.0) <= 1e-3
 
     def test_binned_kde_grid_adapts_to_a_heavy_outlier(self, gh_setup, monkeypatch):
-        # range/h near 2000: the grid must refine beyond 8 points per output step
+        # range/h near 2000: the points, and the grid with them, follow the range
         gm, basis_p, rule = gh_setup
         ys = np.append(np.random.default_rng(33).normal(size=99_999), 300.0)
         monkeypatch.setattr(mq.collocation, "evaluate_batch", lambda s, X: ys)
@@ -272,6 +272,19 @@ class TestDensityEstimate:
         est = mq.density_estimate(s, gm, ys.size, seed=0)
         exact = gaussian_kde(ys, bw_method="silverman")(est.kde_points)
         assert np.abs(est.kde_density - exact).max() <= 1e-4 * exact.max()
+
+    def test_points_resolve_the_bulk_beside_a_far_outlier(self):
+        # one draw of 1e5 falls near 300; 512 points would lie about 4 h apart
+        gm = mq.GaussianMixture([1 - 1e-5, 1e-5], [[0.0], [300.0]], [[[1.0]], [[1.0]]])
+        basis_p = mq.gram_schmidt(mq.raw_moments(gm, 2), 1, 1)
+        c = np.linalg.solve(basis_p.coeff_matrix.T, [0.0, 1.0])  # y = x
+        s = mq.Surrogate(basis=basis_p, coefficients=c, rule_residual=0.0)
+        est = mq.density_estimate(s, gm, 10 ** 5, seed=0)
+        assert est.outputs.max() > 100.0
+        h = np.std(est.outputs, ddof=1) * (0.75 * est.outputs.size) ** -0.2
+        assert np.diff(est.kde_points).max() <= 0.5 * h * (1 + 1e-12)
+        assert np.count_nonzero(np.abs(est.kde_points) < 3.0) >= 50
+        assert abs(np.trapezoid(est.kde_density, est.kde_points) - 1.0) <= 1e-6
 
 
 def test_import_leaves_scipy_stats_unloaded():

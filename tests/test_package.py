@@ -26,17 +26,39 @@ def test_solver_loads_on_first_use_of_its_names():
     assert proc.stdout.strip() == "False True"
 
 
-def test_solver_module_imports_no_scipy_package():
-    # the one scipy module it loads is the compiled NNLS extension, which
-    # mixquad._lapack loads from its file
+def _skip_without_nnls_extension():
     from mixquad import _lapack
 
-    if _lapack._lapack_functions() is None or _lapack._nnls_extension() is None:
-        pytest.skip("this scipy build bundles no LAPACK symbols or NNLS extension")
+    if _lapack._nnls_extension() is None:
+        pytest.skip("this scipy build has no NNLS extension")
+
+
+def test_solver_module_imports_no_scipy_package():
+    # the scipy modules it loads are the compiled LAPACK and NNLS modules,
+    # which mixquad._lapack loads from their files
+    _skip_without_nnls_extension()
     code = ("import sys, mixquad.quadrature\n"
+            "assert not {'scipy', 'scipy.linalg', 'scipy.optimize'} & set(sys.modules)\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == repr([_lapack.NNLS_MODULE])
+    assert proc.stdout.strip() == repr(["scipy.linalg._flapack", "scipy.optimize._slsqplib"])
+
+
+def test_a_later_scipy_import_reuses_the_compiled_modules():
+    # so no extension file is loaded twice
+    _skip_without_nnls_extension()
+    code = (
+        "import sys, numpy as np, mixquad.quadrature\n"
+        "from mixquad import _lapack\n"
+        "import scipy.linalg.lapack, scipy.optimize\n"
+        "ext, calls = sys.modules['scipy.optimize._slsqplib'], []\n"
+        "real = ext.nnls\n"
+        "ext.nnls = lambda *args: calls.append(args) or real(*args)\n"
+        "_lapack.nnls(np.eye(2), np.ones(2))\n"
+        "print(scipy.linalg.lapack.dpotrf is _lapack._flapack.dpotrf, len(calls))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "True 1"
 
 
 def test_every_public_name_is_the_object_of_its_defining_module():

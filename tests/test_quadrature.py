@@ -1,5 +1,6 @@
 """Weight solve, node moves, block coordinate descent, and node-count adaptation."""
 
+import importlib.machinery
 from dataclasses import replace
 from math import ceil, comb
 from types import SimpleNamespace
@@ -202,7 +203,7 @@ class TestSolveWeights:
         assert np.all(w == 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_matrix_rejected(self, lapack_route, bad):
+    def test_non_finite_matrix_rejected(self, nnls_route, bad):
         phi = np.ones((3, 4))
         phi[1, 2] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
@@ -320,16 +321,16 @@ def route_rule(gm, order):
 
 @pytest.fixture(scope="module")
 def import_route_rules():
-    """The ROUTE_CASES rules on the routes _lapack binds at import (the direct one
-    where scipy's wheel has the files), made before a lapack_route replaces them."""
+    """The ROUTE_CASES rules on the routines _lapack binds at import, made
+    before a test replaces them."""
     return [route_rule(gm, order) for gm, order in ROUTE_CASES]
 
 
 class TestLapackRoutes:
-    """The routines of mixquad._lapack on both routes against scipy's public functions."""
+    """The routines of mixquad._lapack against scipy's public functions, NNLS on both routes."""
 
     @pytest.mark.parametrize("N, n", [(12, 5), (5, 12), (210, 105), (70, 144), (210, 210)])
-    def test_upper_cholesky_and_solve_are_scipys(self, lapack_route, N, n):
+    def test_upper_cholesky_and_solve_are_scipys(self, N, n):
         rng = np.random.default_rng(N + 7 * n)
         for lam in (GN_DAMPING, 1e-2, 1.0):
             J = rng.normal(size=(N, n))
@@ -338,8 +339,8 @@ class TestLapackRoutes:
             A[np.diag_indices_from(A)] += lam
             ref = cho_solve(cho_factor(A, check_finite=False), rhs, check_finite=False)
             kept = rhs.copy()
-            U, info = lapack_route.dpotrf(A.copy().T, lower=False)
-            y, _ = lapack_route.dpotrs(U, rhs, lower=False)
+            U, info = _lapack.dpotrf(A.copy().T, lower=False)
+            y, _ = _lapack.dpotrs(U, rhs, lower=False)
             assert info == 0
             assert np.array_equal(y, ref)
             assert np.array_equal(rhs, kept)
@@ -349,13 +350,13 @@ class TestLapackRoutes:
             assert np.array_equal(step, -ref if n <= N else -(J.T @ ref))
             assert np.array_equal(r, r_kept)
 
-    def test_factorization_failure_reports_the_minor(self, lapack_route):
+    def test_factorization_failure_reports_the_minor(self):
         A = np.array([[1.0, 2.0], [2.0, 1.0]])
-        assert lapack_route.dpotrf(A.T, lower=False)[1] == 2
+        assert _lapack.dpotrf(A.T, lower=False)[1] == 2
         with pytest.raises(LinAlgError, match="leading minor 1 "):
             _damped_step(np.eye(2), np.ones(2), -3.0)
 
-    def test_nnls_is_scipys(self, lapack_route):
+    def test_nnls_is_scipys(self, nnls_route):
         rng = np.random.default_rng(13)
         problems = []
         for m, n in [(12, 20), (20, 12), (1, 5), (30, 30)]:
@@ -369,27 +370,37 @@ class TestLapackRoutes:
             problems.append((phi, np.eye(len(phi))[0]))
         for A, b in problems:
             x_ref, rnorm_ref = nnls(A, b)
-            x, rnorm = lapack_route.nnls(A, b)
+            x, rnorm = nnls_route(A, b)
             assert np.array_equal(x, x_ref)
             assert rnorm == rnorm_ref
             if b[0] == 1.0 and not b[1:].any():
                 assert np.array_equal(mq.solve_weights(A)[0], x_ref)
 
-    def test_nnls_checks_its_arguments(self, lapack_route):
-        A = np.ones((3, 2))
-        for bad_A, bad_b, message in [
-            (np.ones(3), np.ones(3), "2D"),
-            (A, np.ones((3, 2)), "1D"),
-            (A, np.ones(4), "Incompatible dimensions"),
-            (A, np.array([1.0, np.nan, 1.0]), "infs or NaNs"),
-        ]:
-            with pytest.raises(ValueError, match=message):
-                lapack_route.nnls(bad_A, bad_b)
-        x, _ = lapack_route.nnls(A, np.ones((3, 1)))
-        assert x.shape == (2,)
+    def test_nnls_checks_its_arguments(self, nnls_route):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            nnls_route(np.ones((3, 2)), np.array([1.0, np.nan, 1.0]))
 
-    def test_rules_are_those_of_the_routes_bound_at_import(self, lapack_route, import_route_rules):
-        # so a scipy without the bundled files cannot change a rule silently
+    def test_rules_are_those_of_the_routes_bound_at_import(self, nnls_route, import_route_rules):
+        # so a scipy without the NNLS extension cannot change a rule silently
+        assert [route_rule(gm, order) for gm, order in ROUTE_CASES] == import_route_rules
+
+    def test_modules_found_by_no_file_are_imported_the_ordinary_way(self, monkeypatch,
+                                                                     import_route_rules):
+        imported = []
+
+        def import_module(name, package=None):
+            imported.append(name)
+            return real_import_module(name, package)
+
+        real_import_module = importlib.import_module
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib, "import_module", import_module)
+            # with no extension suffix, the file lookup of _compiled finds nothing
+            patch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+            flapack, nnls_routine = _lapack._compiled("linalg._flapack"), _lapack._nnls()
+        assert imported == ["scipy.linalg._flapack", "scipy.optimize._slsqplib"]
+        monkeypatch.setattr(_lapack, "_flapack", flapack)
+        monkeypatch.setattr(_lapack, "nnls", nnls_routine)
         assert [route_rule(gm, order) for gm, order in ROUTE_CASES] == import_route_rules
 
     def test_direct_nnls_reports_its_iteration_limit(self, monkeypatch):
@@ -399,7 +410,8 @@ class TestLapackRoutes:
             calls.append(maxiter)
             return np.ones(A.shape[1]), 0.0, 3
 
-        monkeypatch.setattr(_lapack, "nnls", _lapack._direct_nnls(SimpleNamespace(nnls=limited)))
+        monkeypatch.setattr(_lapack, "_nnls_extension", lambda: SimpleNamespace(nnls=limited))
+        monkeypatch.setattr(_lapack, "nnls", _lapack._nnls())
         w, ok = mq.solve_weights(np.ones((4, 7)))
         assert not ok
         assert np.array_equal(w, np.zeros(7))
@@ -974,6 +986,10 @@ class TestSolverConfig:
     def test_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="residual_tol must be finite and > 0"):
             mq.SolverConfig(residual_tol=tol)
+
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            mq.SolverConfig(seed=-1)
 
 
 class TestRuleValidationAndSerialization:
