@@ -417,6 +417,36 @@ class TestLapackRoutes:
         assert np.array_equal(w, np.zeros(7))
         assert calls == [21]
 
+    @staticmethod
+    def _missing(name):
+        raise ImportError(f"No module named 'scipy.{name}'")
+
+    @pytest.mark.parametrize("extension", [
+        pytest.param(_missing, id="missing"),
+        pytest.param(lambda name: SimpleNamespace(nnls=lambda A, b: (np.ones(1), 0.0, 1)),
+                     id="two-arguments"),
+        pytest.param(lambda name: SimpleNamespace(nnls=lambda A, b, maxiter: (np.ones(1), 0.0)),
+                     id="two-results"),
+        pytest.param(lambda name: SimpleNamespace(nnls=lambda A, b, maxiter: (np.ones(1), 0.0, 0)),
+                     id="other-info-code"),
+    ])
+    def test_nnls_extension_of_another_signature_is_not_used(self, monkeypatch, extension):
+        # scipy >= 1.10 is allowed, and older builds name or call their NNLS otherwise
+        monkeypatch.setattr(_lapack, "_compiled", extension)
+        assert _lapack._nnls_extension() is None
+        assert _lapack._nnls() is nnls
+
+    def test_cholesky_factors_in_place_and_keeps_the_other_triangle(self):
+        # the upper triangle is that of an SPD matrix, the lower one is junk
+        A = np.asfortranarray([[4.0, 2.0, -2.0], [-9.0, 5.0, 1.0], [7.0, -8.0, 6.0]])
+        below = A[np.tril_indices(3, -1)].copy()
+        ref = cho_factor(np.triu(A) + np.triu(A, 1).T, check_finite=False)[0]
+        U, info = _lapack.dpotrf(A, lower=False)
+        assert info == 0
+        assert np.shares_memory(U, A)
+        assert np.array_equal(np.triu(A), np.triu(ref))
+        assert np.array_equal(A[np.tril_indices(3, -1)], below)
+
 
 def _screen_cases(rng):
     """(basis, mono, w) triples: random ones, then line-search trials on corr2d."""
