@@ -19,7 +19,7 @@ from .rules import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-# mixquad.quadrature.__all__, listed here so that naming it does not load it
+# mixquad.quadrature.__all__, kept here so that naming one of them does not load it
 _SOLVER_NAMES = ("SolverConfig", "assemble_phi", "residual", "solve_weights", "stacked_jacobian",
                  "gauss_newton_step", "bcd_solve", "adaptive_rule")
 

@@ -23,7 +23,6 @@ __all__ = [
     "enumerate_indices",
     "gram_schmidt",
     "eval_basis_batch",
-    "eval_basis_jacobian_batch",
 ]
 
 # E[psi_hat^2] at or below this is treated as a numerically singular
@@ -35,7 +34,9 @@ ORTHONORMALITY_TOL = 1e-8
 
 # Points per block of the batch evaluators: small enough that the allocator
 # reuses the per-grade temporaries of the monomial table instead of faulting
-# in fresh pages for every block. Outputs do not depend on the block size.
+# in fresh pages for every block. Other block sizes, and a point evaluated
+# alone, give other last bits, so blocks of 2,048 rows counted from row 0 are
+# part of the byte-identical artifacts.
 EVAL_CHUNK = 2048
 
 
@@ -335,23 +336,6 @@ def eval_basis_batch(basis, xs):
         mono = _monomials(basis, X[lo : lo + EVAL_CHUNK])
         out[:, lo : lo + EVAL_CHUNK] = basis.coeff_matrix @ mono
     return out.T
-
-
-def eval_basis_jacobian_batch(basis, xs):
-    """Jacobians of all basis functions at many points.
-
-    Evaluated EVAL_CHUNK points at a time.
-
-    Returns
-    -------
-    ndarray, shape (N, dim, n) with entry (j, i, s) = dPsi_j/dxi_i at xs[s].
-    """
-    X = _points(basis, xs)
-    out = np.empty((basis.size, basis.dim, len(X)))
-    for lo in range(0, len(X), EVAL_CHUNK):
-        mono = _monomials(basis, X[lo : lo + EVAL_CHUNK])
-        out[:, :, lo : lo + EVAL_CHUNK] = _jacobian(basis, mono)
-    return out
 
 
 def _jacobian(basis, mono):

@@ -183,6 +183,16 @@ def _nonnegative(text):
     return int(text)
 
 
+def _tolerance(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
@@ -193,8 +203,6 @@ def build_parser():
     shared.add_argument("--order", type=_nonnegative, default=2, metavar="P",
                         help="surrogate total order p (default 2)")
     shared.add_argument("--seed", type=_nonnegative, default=0, help="seed (default 0)")
-    shared.add_argument("--tol", type=float, default=1e-8,
-                        help="quadrature residual tolerance (default 1e-8)")
     shared.add_argument("--out", default=".", help="output directory (default .)")
 
     parser = argparse.ArgumentParser(
@@ -205,8 +213,11 @@ def build_parser():
 
     sub.add_parser("basis", parents=[shared],
                    help="write orthonormal bases of order p and 2p")
-    sub.add_parser("quadrature", parents=[shared],
-                   help="compute the adaptive quadrature rule; writes rule.json and nodes.csv")
+    p_quad = sub.add_parser(
+        "quadrature", parents=[shared],
+        help="compute the adaptive quadrature rule; writes rule.json and nodes.csv")
+    p_quad.add_argument("--tol", type=_tolerance, default=1e-8,
+                        help="residual tolerance (default 1e-8)")
 
     p_surr = sub.add_parser("surrogate", parents=[shared],
                             help="project model values at the rule nodes onto the order-p basis")

@@ -18,7 +18,7 @@ import numpy as np
 from . import benchmarks
 from .basis import EVAL_CHUNK, eval_basis_batch
 from .distribution import sample
-from .rules import Surrogate, nodes_to_csv, numbers_from_lines
+from .rules import Surrogate, numbers_from_lines
 
 __all__ = [
     "ModelAdapter",
@@ -42,7 +42,7 @@ class ModelAdapter:
     """How to evaluate the model: builtin name, file exchange, or subprocess.
 
     kind is one of "builtin", "batch-file", "subprocess"; spec holds the
-    benchmark name, the file paths, or the command line respectively.
+    benchmark name, the values file path, or the command line respectively.
     """
 
     kind: str
@@ -53,9 +53,8 @@ class ModelAdapter:
         return cls(kind="builtin", spec={"name": name})
 
     @classmethod
-    def batch_file(cls, values_path, nodes_path=None):
-        return cls(kind="batch-file", spec={"values": str(values_path),
-                                            "nodes": None if nodes_path is None else str(nodes_path)})
+    def batch_file(cls, values_path):
+        return cls(kind="batch-file", spec={"values": str(values_path)})
 
     @classmethod
     def command(cls, command_line):
@@ -87,22 +86,15 @@ def project(rule, basis, values, model_name=None):
     Raises
     ------
     ValueError
-        On non-finite values (simulator failure), naming the node index, or
-        when the rule is not exact through order 2p.
+        On non-finite values (simulator failure), naming the node index and
+        the value, or when the rule is not exact through order 2p.
     """
-    _check_exactness(rule, basis.order)
     y = np.asarray(values, dtype=float).reshape(-1)
     if y.shape[0] != rule.n_nodes:
         raise ValueError(f"{y.shape[0]} values for {rule.n_nodes} nodes")
-    finite = np.isfinite(y)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise ValueError(f"non-finite model value {y[k]!r} at node index {k}")
-    phi_p = eval_basis_batch(basis, rule.nodes)  # (M, N_p)
-    coeff = phi_p.T @ (rule.weights * y)
     return Surrogate(
         basis=basis,
-        coefficients=coeff,
+        coefficients=project_columns(rule, basis, y[:, None])[0],
         rule_residual=float(rule.residual_norm),
         meta={
             "model": "unknown" if model_name is None else str(model_name),
@@ -131,9 +123,9 @@ def project_columns(rule, basis, value_matrix):
     if V.ndim != 2 or V.shape[0] != rule.n_nodes:
         raise ValueError(f"value matrix shape {V.shape} does not match {rule.n_nodes} nodes")
     if not np.isfinite(V).all():
-        k = int(np.argmin(np.isfinite(V).all(axis=1)))
-        raise ValueError(f"non-finite model value at node index {k}")
-    phi_p = eval_basis_batch(basis, rule.nodes)
+        k, f = np.argwhere(~np.isfinite(V))[0]
+        raise ValueError(f"non-finite model value {float(V[k, f])!r} at node index {k}")
+    phi_p = eval_basis_batch(basis, rule.nodes)  # (M, N_p)
     return (phi_p.T @ (rule.weights[:, None] * V)).T
 
 
@@ -276,9 +268,6 @@ def _values(text, source, nodes):
 
 
 def _eval_batch_file(spec, nodes):
-    if spec.get("nodes"):
-        with open(spec["nodes"], "w") as fh:
-            fh.write(nodes_to_csv(nodes))
     path = spec["values"]
     try:
         with open(path) as fh:
@@ -313,8 +302,8 @@ def evaluate_model(adapter, nodes):
     """Evaluate the adapter's model at every node, in node order.
 
     builtin adapters call the named analytic benchmark; batch-file adapters
-    optionally write the nodes CSV and read back one value per line from the
-    configured file (positional alignment with the nodes); subprocess
+    read one value per line from the configured file, which a simulator
+    wrote for the nodes (positional alignment with the nodes); subprocess
     adapters spawn the command once, stream one node per line (space
     separated, full round-trip decimals) to stdin, and read one value per
     line from stdout.

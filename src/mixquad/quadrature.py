@@ -18,23 +18,13 @@ from math import ceil, comb
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from . import _lapack
-from .basis import _jacobian, _monomials, _one_blas_thread, _points
-from .basis import eval_basis_batch, eval_basis_jacobian_batch
+from . import _SOLVER_NAMES, _lapack
+from .basis import _jacobian, _monomials, _one_blas_thread, _points, eval_basis_batch
 from .distribution import raw_moments, sample
 # perfbench/child.py reads rule_to_json and rule_from_json from this module
 from .rules import IncreasePhaseError, QuadratureRule, rule_from_json, rule_to_json  # noqa: F401
 
-__all__ = [
-    "SolverConfig",
-    "assemble_phi",
-    "residual",
-    "solve_weights",
-    "stacked_jacobian",
-    "gauss_newton_step",
-    "bcd_solve",
-    "adaptive_rule",
-]
+__all__ = list(_SOLVER_NAMES)
 
 # consecutive failed Gauss-Newton moves before an early non-converged exit;
 # by then lambda has grown by 10^10 and the step is numerically dead
@@ -125,7 +115,7 @@ def stacked_jacobian(basis, nodes, w):
     Shape (N, M * dim): column k * dim + i holds w_k * dPsi/dxi_i evaluated
     at node k, i.e. the blocks G_k = w_k * dPsi/dxi side by side.
     """
-    return _stack_blocks(eval_basis_jacobian_batch(basis, nodes), w)
+    return _stack_blocks(_jacobian(basis, _monomials(basis, _points(basis, nodes))), w)
 
 
 def _stack_blocks(jall, w):

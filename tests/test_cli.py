@@ -150,13 +150,15 @@ class TestQuadratureCommand:
         assert code == 1
         assert "error:" in err and "increase phase" in err
 
-    def test_nan_tolerance_is_rejected(self, cfg1, tmp_path, capsys):
-        code = main(["quadrature", "--config", str(cfg1), "--out", str(tmp_path),
-                     "--order", "1", "--tol", "nan"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: residual_tol must be finite and > 0, got nan")
-        assert not (tmp_path / "rule.json").exists()
+    @pytest.mark.parametrize("tol", ["-1", "0", "inf", "nan"])
+    def test_nan_tolerance_is_rejected(self, cfg1, tmp_path, capsys, tol):
+        # a usage error, before the basis is read or built
+        with pytest.raises(SystemExit) as info:
+            main(["quadrature", "--config", str(cfg1), "--out", str(tmp_path),
+                  "--order", "1", "--tol", tol])
+        assert info.value.code == 2
+        assert f"argument --tol: must be finite and > 0, got '{tol}'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_rerun_is_byte_identical(self, cfg2, tmp_path):
         blobs = []

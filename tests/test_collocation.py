@@ -102,8 +102,12 @@ class TestProject:
         _, basis_p, rule = corr2d_setup
         y = np.ones(rule.n_nodes)
         y[3] = np.nan
-        with pytest.raises(ValueError, match="node index 3"):
+        with pytest.raises(ValueError, match="value nan at node index 3"):
             mq.project(rule, basis_p, y)
+        V = np.ones((rule.n_nodes, 3))
+        V[5, 2], V[4, 1] = np.nan, -np.inf
+        with pytest.raises(ValueError, match="value -inf at node index 4"):
+            mq.project_columns(rule, basis_p, V)
 
     def test_wrong_value_count_rejected(self, corr2d_setup):
         _, basis_p, rule = corr2d_setup
@@ -122,6 +126,28 @@ class TestProject:
         _, basis_p, rule = corr2d_setup
         s = mq.project(rule, basis_p, np.ones(rule.n_nodes), model_name="ones")
         assert s.meta == {"model": "ones", "sample_count": rule.n_nodes}
+
+
+@pytest.fixture(scope="module", params=["gm4", "gm6", "corr2d"])
+def projection_case(request, corr2d_setup):
+    """(basis_p, rule, y): a benchmark model at its mixture's p=2 rule, or corr2d."""
+    if request.param == "corr2d":
+        _, basis_p, rule = corr2d_setup
+        return basis_p, rule, np.sin(rule.nodes @ [1.0, -2.0])
+    gm = benchmarks.builtin_mixture(request.param)
+    mom = mq.raw_moments(gm, 8)
+    rule = mq.adaptive_rule(mq.gram_schmidt(mom, gm.dim, 4), gm, mq.SolverConfig(seed=0))
+    model = benchmarks.builtin_model("ro6" if request.param == "gm6" else "filter4")
+    return mq.gram_schmidt(mom, gm.dim, 2), rule, model(rule.nodes)
+
+
+def test_project_is_the_one_column_case_of_project_columns(projection_case):
+    # bit for bit the direct product of the basis values with the weighted values
+    basis_p, rule, y = projection_case
+    c = mq.project(rule, basis_p, y).coefficients
+    direct = mq.eval_basis_batch(basis_p, rule.nodes).T @ (rule.weights * y)
+    assert np.array_equal(c, direct)
+    assert np.array_equal(c, mq.project_columns(rule, basis_p, y[:, None])[0])
 
 
 class TestProjectColumns:
@@ -322,14 +348,11 @@ class TestEvaluateModel:
     def test_batch_file_round_trip(self, tmp_path, corr2d_setup):
         _, basis_p, rule = corr2d_setup
         values_path = tmp_path / "values.csv"
-        nodes_path = tmp_path / "nodes.csv"
         y = 2.0 * rule.nodes[:, 0]
         values_path.write_text("# simulator output\n\n" + "".join(f"{v!r}\n" for v in y.tolist()))
-        adapter = mq.ModelAdapter.batch_file(values_path, nodes_path=nodes_path)
+        adapter = mq.ModelAdapter.batch_file(values_path)
         got = mq.evaluate_model(adapter, rule.nodes)
         assert np.array_equal(got, y)
-        # the nodes handed to the simulator round-trip exactly
-        assert np.array_equal(np.loadtxt(nodes_path, delimiter=",", ndmin=2), rule.nodes)
 
     def test_batch_file_missing_reported(self, tmp_path):
         adapter = mq.ModelAdapter.batch_file(tmp_path / "absent.csv")

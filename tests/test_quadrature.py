@@ -16,7 +16,7 @@ from scipy.spatial.distance import pdist, squareform
 
 import mixquad as mq
 from mixquad import _lapack, quadrature
-from mixquad.basis import _monomials
+from mixquad.basis import _jacobian, _monomials
 from mixquad.benchmarks import builtin_mixture, gm4
 from mixquad.quadrature import (
     GN_DAMPING,
@@ -208,6 +208,17 @@ class TestSolveWeights:
         phi[1, 2] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
             mq.solve_weights(phi)
+
+
+def test_stacked_jacobian_is_the_weighted_per_node_jacobians():
+    # column k * dim + i is w_k times dPsi/dxi_i at node k, bit for bit
+    for gm, order, M in [(corr2d(), 4, 9), (gm4(), 4, 21), (builtin_mixture("gm6"), 2, 35)]:
+        basis = basis_for(gm, order)
+        nodes = clustered_start(gm, M, seed=4)
+        w = np.random.default_rng(M).random(M)
+        jall = _jacobian(basis, _monomials(basis, nodes))
+        expect = np.concatenate([w[k] * jall[:, :, k] for k in range(M)], axis=1)
+        assert np.array_equal(mq.stacked_jacobian(basis, nodes, w), expect)
 
 
 class TestGaussNewtonStep:
@@ -583,6 +594,20 @@ class TestBcdSolve:
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.weights, b.weights)
         assert a.history == b.history
+
+    def test_node_moves_go_through_the_public_gauss_newton_step(self, monkeypatch):
+        # perfbench's tracer counts the node moves by patching this name
+        calls, step = [], quadrature.gauss_newton_step
+
+        def counting_step(*args, **kwargs):
+            calls.append(None)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr("mixquad.quadrature.gauss_newton_step", counting_step)
+        gm = corr2d()
+        rule = mq.bcd_solve(basis_for(gm, 4), clustered_start(gm, 9, seed=3), mq.SolverConfig())
+        assert rule.converged and len(rule.history) > 1
+        assert len(calls) == len(rule.history) - 1
 
     def test_unreachable_tolerance_reports_nonconvergence(self, hermite2, monkeypatch):
         # one node cannot match E[x^2] = 1 at mean 0: the best residual is
