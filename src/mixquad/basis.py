@@ -266,11 +266,9 @@ def gram_schmidt(moments, d, q):
     E = _graded_lex(d, q)
     N = len(E)
     G = _moment_gram(moments, E)
-    # factored in a copy, since the residual below needs G; the strict upper
-    # triangle, which dpotrf leaves holding G's entries, is zeroed so that L
-    # is the factor (scipy's dpotrf with clean=1)
+    # factored in a copy, since the residual below needs G; nothing below uses
+    # the strict upper triangle, which keeps G's finite entries
     L, info = _lapack.dpotrf(np.array(G, order="F"), lower=True)
-    L[np.triu_indices(N, 1)] = 0.0
     norm2 = np.diag(L) ** 2
     if info > 0:  # LAPACK stopped at a non-positive pivot and left it in place
         norm2 = np.append(norm2[: info - 1], L[info - 1, info - 1])

@@ -107,23 +107,6 @@ def cmd_quadrature(args):
     return 0 if rule.converged else 1
 
 
-def _adapter_from_args(args):
-    chosen = [
-        args.model is not None,
-        args.values is not None,
-        args.model_cmd is not None,
-    ]
-    if sum(chosen) != 1:
-        raise AdapterError("exactly one of --model, --values, --model-cmd is required")
-    if args.model is not None:
-        if not args.model.startswith("builtin:"):
-            raise AdapterError(f"--model expects builtin:<name>, got {args.model!r}")
-        return ModelAdapter.builtin(args.model.split(":", 1)[1])
-    if args.values is not None:
-        return ModelAdapter.batch_file(args.values)
-    return ModelAdapter.command(args.model_cmd)
-
-
 def cmd_surrogate(args):
     gm = _load_mixture(args.config)
     p = args.order
@@ -133,9 +116,8 @@ def cmd_surrogate(args):
         raise ValueError(f"rule dimension {rule.dim} does not match mixture dimension {gm.dim}")
     _check_exactness(rule, p)
     basis_p = _stage_basis(out / "basis_p.json", gm, p)
-    adapter = _adapter_from_args(args)
-    values = evaluate_model(adapter, rule.nodes)
-    surr = project(rule, basis_p, values, model_name=adapter.describe())
+    values = evaluate_model(args.adapter, rule.nodes)
+    surr = project(rule, basis_p, values, model_name=args.adapter.describe())
     _write(out / "surrogate.json", rules.surrogate_to_json(surr))
     rows = [(j, " ".join(map(str, alpha)), c, abs(c)) for j, (alpha, c) in
             enumerate(zip(basis_p.exponent_matrix().tolist(), surr.coefficients.tolist()))]
@@ -143,7 +125,7 @@ def cmd_surrogate(args):
     _write(out / "coefficients.csv", rules.csv_text([header, *rows]))
     mean, _, std = statistics(surr)
     print(
-        f"surrogate: model={adapter.describe()} M={rule.n_nodes} "
+        f"surrogate: model={args.adapter.describe()} M={rule.n_nodes} "
         f"mean={mean:.6g} std={std:.6g}",
         file=sys.stderr,
     )
@@ -153,7 +135,11 @@ def cmd_surrogate(args):
 def cmd_stats(args):
     gm = _load_mixture(args.config)
     out = Path(args.out)
-    surr = _read(out / "surrogate.json", rules.surrogate_from_json)
+    path = out / "surrogate.json"
+    surr = _read(path, rules.surrogate_from_json)
+    if surr.basis.dim != gm.dim:
+        raise ValueError(f"{path}: surrogate dimension {surr.basis.dim} does not match "
+                         f"mixture dimension {gm.dim}")
     mean, variance, std = statistics(surr)
     dens = density_estimate(surr, gm, args.n_samples, args.seed, n_bins=args.bins)
     _write(out / "stats.json", rules.stats_to_json(mean, variance, std))
@@ -181,6 +167,15 @@ def _nonnegative(text):
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return int(text)
+
+
+def _builtin_model(text):
+    if not text.startswith("builtin:"):
+        raise argparse.ArgumentTypeError(f"expects builtin:<name>, got {text!r}")
+    try:
+        return ModelAdapter.builtin(text.split(":", 1)[1])
+    except AdapterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _tolerance(text):
@@ -221,9 +216,13 @@ def build_parser():
 
     p_surr = sub.add_parser("surrogate", parents=[shared],
                             help="project model values at the rule nodes onto the order-p basis")
-    p_surr.add_argument("--model", help="builtin model, e.g. builtin:ro6")
-    p_surr.add_argument("--values", help="values CSV produced externally (one real per line)")
-    p_surr.add_argument("--model-cmd", help="command evaluating one node per stdin line")
+    adapter = p_surr.add_mutually_exclusive_group(required=True)
+    adapter.add_argument("--model", dest="adapter", type=_builtin_model, metavar="builtin:NAME",
+                         help="builtin model, e.g. builtin:ro6")
+    adapter.add_argument("--values", dest="adapter", type=ModelAdapter.batch_file,
+                         metavar="PATH", help="values CSV produced externally (one real per line)")
+    adapter.add_argument("--model-cmd", dest="adapter", type=ModelAdapter.command, metavar="CMD",
+                         help="command evaluating one node per stdin line")
 
     p_stats = sub.add_parser("stats", parents=[shared],
                              help="surrogate statistics and output density tables")

@@ -10,7 +10,9 @@ batch simulators, or a line-oriented subprocess protocol.
 
 import shlex
 import subprocess
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from math import ceil
 
 import numpy as np
@@ -37,35 +39,36 @@ class AdapterError(RuntimeError):
     """Model evaluation through an adapter failed; message carries context."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelAdapter:
     """How to evaluate the model: builtin name, file exchange, or subprocess.
 
-    kind is one of "builtin", "batch-file", "subprocess"; spec holds the
-    benchmark name, the values file path, or the command line respectively.
+    label is "builtin:<name>", "file:<path>" or "cmd:<command line>";
+    evaluate maps the (M, d) node array to the M model values. Build one
+    with builtin, batch_file or command.
     """
 
-    kind: str
-    spec: dict
+    label: str
+    evaluate: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def builtin(cls, name):
-        return cls(kind="builtin", spec={"name": name})
+        try:
+            fn = benchmarks.builtin_model(name)
+        except ValueError as exc:
+            raise AdapterError(str(exc)) from None
+        return cls(f"builtin:{name}", lambda nodes: np.asarray(fn(nodes), dtype=float).reshape(-1))
 
     @classmethod
     def batch_file(cls, values_path):
-        return cls(kind="batch-file", spec={"values": str(values_path)})
+        return cls(f"file:{values_path}", partial(_eval_batch_file, str(values_path)))
 
     @classmethod
     def command(cls, command_line):
-        return cls(kind="subprocess", spec={"command": command_line})
+        return cls(f"cmd:{command_line}", partial(_eval_subprocess, command_line))
 
     def describe(self):
-        if self.kind == "builtin":
-            return f"builtin:{self.spec['name']}"
-        if self.kind == "batch-file":
-            return f"file:{self.spec['values']}"
-        return f"cmd:{self.spec['command']}"
+        return self.label
 
 
 def project(rule, basis, values, model_name=None):
@@ -240,14 +243,6 @@ def density_estimate(s, gm, n_samples, seed, n_bins=60):
     )
 
 
-def _eval_builtin(name, nodes):
-    try:
-        fn = benchmarks.builtin_model(name)
-    except ValueError as exc:
-        raise AdapterError(str(exc)) from None
-    return np.asarray(fn(nodes), dtype=float).reshape(-1)
-
-
 def _values(text, source, nodes):
     """One value per node from text, one real per line (rules.numbers_from_lines).
 
@@ -267,8 +262,7 @@ def _values(text, source, nodes):
     return vals
 
 
-def _eval_batch_file(spec, nodes):
-    path = spec["values"]
+def _eval_batch_file(path, nodes):
     try:
         with open(path) as fh:
             text = fh.read()
@@ -277,8 +271,7 @@ def _eval_batch_file(spec, nodes):
     return _values(text, path, nodes)
 
 
-def _eval_subprocess(spec, nodes):
-    cmd = spec["command"]
+def _eval_subprocess(cmd, nodes):
     lines = "".join(" ".join(map(str, row)) + "\n" for row in nodes.tolist())
     try:
         argv = shlex.split(cmd)
@@ -319,11 +312,4 @@ def evaluate_model(adapter, nodes):
         value), unparsable value, or nonzero subprocess exit, with context in
         the message.
     """
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    if adapter.kind == "builtin":
-        return _eval_builtin(adapter.spec["name"], nodes)
-    if adapter.kind == "batch-file":
-        return _eval_batch_file(adapter.spec, nodes)
-    if adapter.kind == "subprocess":
-        return _eval_subprocess(adapter.spec, nodes)
-    raise AdapterError(f"unknown adapter kind {adapter.kind!r}")
+    return adapter.evaluate(np.atleast_2d(np.asarray(nodes, dtype=float)))

@@ -219,20 +219,30 @@ class TestSurrogateCommand:
 
     def test_requires_exactly_one_adapter_flag(self, cfg2, pipeline_out, tmp_path):
         res = run_cli("surrogate", "--config", cfg2, "--out", pipeline_out)
-        assert res.returncode == 1 and "exactly one" in res.stderr
+        assert res.returncode == 2
+        assert all(flag in res.stderr for flag in ("--model", "--values", "--model-cmd"))
         values = tmp_path / "v.csv"
         values.write_text("1.0\n")
         res = run_cli(
             "surrogate", "--config", cfg2, "--out", pipeline_out,
             "--model", "builtin:ro6", "--values", values,
         )
-        assert res.returncode == 1 and "exactly one" in res.stderr
+        assert res.returncode == 2 and "not allowed with argument" in res.stderr
 
     def test_model_flag_requires_builtin_prefix(self, cfg2, pipeline_out):
         res = run_cli(
             "surrogate", "--config", cfg2, "--out", pipeline_out, "--model", "ro6"
         )
-        assert res.returncode == 1 and "builtin:" in res.stderr
+        assert res.returncode == 2
+        assert "argument --model" in res.stderr and "builtin:" in res.stderr
+
+    def test_unknown_builtin_model_is_a_usage_error(self, cfg2, tmp_path):
+        # the flag is checked before rule.json is read: --out is empty
+        res = run_cli("surrogate", "--config", cfg2, "--out", tmp_path, "--model", "builtin:nope")
+        assert res.returncode == 2
+        assert "argument --model" in res.stderr
+        assert f"available: {sorted(mq.benchmarks.BUILTIN_MODELS)}" in res.stderr
+        assert "rule.json" not in res.stderr
 
     def test_order_above_the_rule_is_rejected(self, cfg2, pipeline_out, tmp_path):
         # pipeline_out holds an order-2 rule, exact through order 4
@@ -511,6 +521,15 @@ class TestStatsCommand:
     def test_missing_surrogate_reported(self, cfg2, tmp_path):
         res = run_cli("stats", "--config", cfg2, "--out", tmp_path)
         assert res.returncode == 1 and "surrogate.json" in res.stderr
+
+    def test_surrogate_of_another_dimension_is_rejected(self, gm4_p1, tmp_path):
+        (tmp_path / "surrogate.json").write_bytes((gm4_p1 / "surrogate.json").read_bytes())
+        res = run_cli("stats", "--config", "builtin:gm6", "--out", tmp_path)
+        assert res.returncode == 1
+        path = tmp_path / "surrogate.json"
+        assert res.stderr == (f"error: {path}: surrogate dimension 4 does not match "
+                              "mixture dimension 6\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["surrogate.json"]
 
     def test_failed_run_writes_no_artifact(self, cfg2, pipeline_out, tmp_path):
         (tmp_path / "surrogate.json").write_bytes((pipeline_out / "surrogate.json").read_bytes())

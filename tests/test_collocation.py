@@ -336,10 +336,14 @@ class TestEvaluateModel:
             assert np.all(np.isfinite(a))
             assert np.array_equal(a, b)
             assert adapter.describe() == f"builtin:{name}"
+        for adapter, label in ((mq.ModelAdapter.batch_file("run/v.csv"), "file:run/v.csv"),
+                               (mq.ModelAdapter.command("./sim --batch"), "cmd:./sim --batch")):
+            assert adapter.describe() == label
 
     def test_unknown_builtin_rejected(self):
+        # when the adapter is built, before any node is evaluated
         with pytest.raises(mq.AdapterError, match="available") as info:
-            mq.evaluate_model(mq.ModelAdapter.builtin("nope"), np.zeros((2, 4)))
+            mq.ModelAdapter.builtin("nope")
         # the message of the one lookup, benchmarks.builtin_model
         with pytest.raises(ValueError) as lookup:
             benchmarks.builtin_model("nope")
