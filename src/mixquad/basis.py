@@ -132,6 +132,9 @@ class OrthoBasis:
                 f"coeff_matrix has shape {np.shape(self.coeff_matrix)}, expected ({N}, {N}) "
                 f"for dim {self.dim} and order {self.order}"
             )
+        if not np.isfinite(self.coeff_matrix).all():
+            raise ValueError("coeff_matrix must be finite")
+        _check_residual("gram_residual", self.gram_residual)
         E = _graded_lex(self.dim, self.order)
         object.__setattr__(self, "_exponents", E)
         # rows with alpha_a,i = 0 point at a itself, which the derivative
@@ -162,6 +165,11 @@ class OrthoBasis:
     def exponent_matrix(self):
         """Exponents as a read-only (N, dim) integer array."""
         return self._exponents
+
+
+def _check_residual(name, value):
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 def _tails(E):

@@ -232,7 +232,7 @@ def build_parser():
 
     p_sample = sub.add_parser("sample", parents=[shared],
                               help="draw seeded samples from the mixture")
-    p_sample.add_argument("--n", type=int, required=True, help="number of draws")
+    p_sample.add_argument("--n", type=_nonnegative, required=True, help="number of draws")
 
     return parser
 

@@ -132,33 +132,6 @@ def _evaluate(basis, nodes):
     return mono, basis.coeff_matrix @ mono
 
 
-def _certified_worse(basis, mono, w, nrm):
-    """True only if the line search's exact check on this trial would fail.
-
-    The exact check forms Phi = C @ mono, an N x N by N x M product, and
-    accepts when ||Phi w - e1|| <= nrm. The screen forms r~ = C (mono w) - e1
-    by two matrix-vector products instead. For w >= 0 both evaluation orders
-    lie elementwise within about (N + M) u |C| (|mono| w) of the exact C mono w
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, Sec. 3.5),
-    so beta = gamma (|| |C| (|mono| w) || + 1) bounds the distance of the two
-    computed residuals, the 1 covering the e1 subtraction; gamma = (N + M + 4)
-    eps also covers the rounding of the norms. A trial is rejected here only
-    when ||r~|| (1 - gamma) - beta > nrm (1 + gamma); a screen that is not
-    finite certifies nothing.
-    """
-    C = basis.coeff_matrix
-    N, M = mono.shape
-    gamma = (N + M + 4) * np.finfo(float).eps
-    limit = nrm * (1.0 + gamma)
-    r = C @ (mono @ w)
-    r[0] -= 1.0
-    low = np.linalg.norm(r) * (1.0 - gamma)
-    if not low > limit:
-        return False
-    low -= gamma * (np.linalg.norm(np.abs(C) @ (np.abs(mono) @ w)) + 1.0)
-    return bool(np.isfinite(low) and low > limit)
-
-
 def _damped_step(J, r, lam):
     """argmin_d ||J d + r||^2 + lam ||d||^2 by Cholesky of the smaller normal matrix.
 
@@ -197,11 +170,8 @@ def gauss_newton_step(basis, nodes, w, r, lam, state=None):
     raises the damping tenfold; success resets it to GN_DAMPING.
 
     state is the (monomial table, Phi) pair of nodes, evaluated here when
-    not given. J is built from that table. Each line-search trial gets one
-    monomial table; a trial whose residual provably exceeds ||r|| is
-    rejected from two matrix-vector products (_certified_worse), and every
-    other trial forms Phi and makes the exact check, so the outcome is the
-    one the exact check alone gives. The pair of the accepted trial is handed
+    not given. J is built from that table. Each line-search trial is
+    evaluated once (_evaluate), and the pair of the accepted trial is handed
     back, so a caller that passes it on evaluates every node set once.
 
     Returns
@@ -220,11 +190,9 @@ def gauss_newton_step(basis, nodes, w, r, lam, state=None):
     s = 1.0
     for _ in range(MAX_GN_BACKTRACKS):
         cand = nodes + s * step
-        mono = _monomials(basis, cand)
-        if not _certified_worse(basis, mono, w, nrm):
-            trial = mono, basis.coeff_matrix @ mono
-            if residual(trial[1], w)[1] <= nrm:
-                return cand, GN_DAMPING, True, trial
+        trial = _evaluate(basis, cand)
+        if residual(trial[1], w)[1] <= nrm:
+            return cand, GN_DAMPING, True, trial
         s *= LINE_SEARCH_SHRINK
     return nodes, lam * 10.0, False, state
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import OrthoBasis
+from .basis import OrthoBasis, _check_residual
 from .distribution import GaussianMixture
 
 __all__ = ["QuadratureRule", "Surrogate", "IncreasePhaseError", "mixture_to_json",
@@ -104,11 +104,6 @@ class Surrogate:
             raise ValueError("coefficients must be finite")
         _check_residual("rule_residual", self.rule_residual)
         object.__setattr__(self, "coefficients", c)
-
-
-def _check_residual(name, value):
-    if not 0.0 <= value < np.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 def _dumps(obj):

@@ -184,6 +184,18 @@ class TestGramSchmidt:
         with pytest.raises(ValueError, match="order"):
             mq.gram_schmidt(mom, 1, 3)
 
+    @pytest.mark.parametrize("field, coeff, gram_residual", [
+        ("coeff_matrix", [[1.0, 0.0], [np.nan, 1.0]], 0.0),
+        ("coeff_matrix", [[1.0, 0.0], [0.0, np.inf]], 0.0),
+        ("gram_residual", np.eye(2), np.nan),
+        ("gram_residual", np.eye(2), np.inf),
+        ("gram_residual", np.eye(2), -1e-16),
+    ], ids=["nan-coefficient", "inf-coefficient", "nan-residual", "inf-residual",
+            "negative-residual"])
+    def test_non_finite_or_negative_field_rejected(self, field, coeff, gram_residual):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            mq.OrthoBasis(1, 1, np.array(coeff), gram_residual)
+
     def test_monte_carlo_orthonormality(self):
         gm = corr2d()
         basis = mq.gram_schmidt(mq.raw_moments(gm, 4), 2, 2)

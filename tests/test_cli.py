@@ -414,8 +414,11 @@ class TestBasisReuse:
         ("surrogate.json", "coefficients", 1, float("nan"), "coefficients must be finite"),
         ("rule.json", "residual_norm", None, float("nan"), "residual_norm must be finite"),
         ("surrogate.json", "rule_residual", None, float("inf"), "rule_residual must be finite"),
+        ("basis_p.json", "coeff_matrix", (2, 1), float("nan"), "coeff_matrix must be finite"),
+        ("basis_p.json", "gram_residual", None, float("inf"), "gram_residual must be finite"),
     ], ids=["rule-nan-weight", "rule-inf-weight", "rule-inf-node", "surrogate-nan-coefficient",
-            "rule-nan-residual", "surrogate-inf-residual"])
+            "rule-nan-residual", "surrogate-inf-residual", "basis-nan-coefficient",
+            "basis-inf-gram-residual"])
     def test_non_finite_artifact_is_rejected_on_read(self, gm4_p1, tmp_path, capsys, name, field,
                                                      index, bad, message):
         for artifact in ("basis_p.json", "rule.json", "surrogate.json"):
@@ -433,7 +436,7 @@ class TestBasisReuse:
         script = tmp_path / "model.py"
         script.write_text(f"import sys\nopen({str(marker)!r}, 'w').close()\n"
                           "[print(0.0) for _ in sys.stdin]\n")
-        stage = "surrogate" if name == "rule.json" else "stats"
+        stage = "stats" if name == "surrogate.json" else "surrogate"
         written = {"surrogate": ["surrogate.json", "coefficients.csv"],
                    "stats": ["stats.json", "density.csv"]}[stage]
         for artifact in written:
@@ -446,6 +449,17 @@ class TestBasisReuse:
         assert err.startswith(f"error: {tmp_path / name}: {message}")
         assert not marker.exists()
         assert not any((tmp_path / artifact).exists() for artifact in written)
+
+    def test_non_finite_basis_is_rejected_before_the_solve(self, gm4_p1, tmp_path, capsys):
+        obj = json.loads((gm4_p1 / "basis_2p.json").read_text())
+        obj["coeff_matrix"][3][0] = float("nan")
+        (tmp_path / "basis_2p.json").write_text(json.dumps(obj))
+        code = main(["quadrature", "--config", "builtin:gm4", "--order", "1",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {tmp_path / 'basis_2p.json'}: coeff_matrix must be finite")
+        assert not (tmp_path / "rule.json").exists()
 
     @pytest.mark.parametrize("stage", ["surrogate", "stats", "sample"])
     def test_stages_reading_artifacts_load_no_scipy(self, gm4_p1, tmp_path, stage):
@@ -552,9 +566,13 @@ class TestSampleCommand:
         got = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
         assert np.array_equal(got, mq.sample(corr2d(), 5, seed=3))
 
-    def test_negative_count_reported(self, cfg2, tmp_path):
-        res = run_cli("sample", "--config", cfg2, "--out", tmp_path, "--n", -2)
-        assert res.returncode == 1 and "error:" in res.stderr
+    def test_negative_count_names_the_flag(self, tmp_path):
+        # a usage error, before the config is read or samples.csv written
+        res = run_cli("sample", "--config", tmp_path / "missing.json", "--out", tmp_path,
+                      "--n", -3)
+        assert res.returncode == 2
+        assert "argument --n: must be an integer >= 0, got '-3'" in res.stderr
+        assert not any(tmp_path.iterdir())
 
 
 class TestParser:

@@ -23,7 +23,6 @@ from mixquad.quadrature import (
     LINE_SEARCH_SHRINK,
     STALL_LIMIT,
     _centroids,
-    _certified_worse,
     _complete_linkage,
     _cut_labels,
     _damped_step,
@@ -459,52 +458,6 @@ class TestLapackRoutes:
         assert np.array_equal(A[np.tril_indices(3, -1)], below)
 
 
-def _screen_cases(rng):
-    """(basis, mono, w) triples: random ones, then line-search trials on corr2d."""
-    for _ in range(200):
-        N, M = int(rng.integers(1, 60)), int(rng.integers(1, 40))
-        C = np.tril(rng.normal(size=(N, N))) * 10.0 ** rng.uniform(-3, 3)
-        mono = rng.normal(size=(N, M)) * 10.0 ** rng.uniform(-2, 2, size=(N, 1))
-        w = np.abs(rng.normal(size=M)) * (rng.random(M) < 0.8)
-        yield SimpleNamespace(coeff_matrix=C), mono, w
-    gm = corr2d()
-    basis = basis_for(gm, 4)
-    for M in (8, 15, 24):
-        nodes = clustered_start(gm, M, seed=M)
-        phi = mq.assemble_phi(basis, nodes)
-        w, _ = mq.solve_weights(phi)
-        r, _ = mq.residual(phi, w)
-        step = _damped_step(mq.stacked_jacobian(basis, nodes, w), r, GN_DAMPING)
-        for k in range(12):
-            cand = nodes + LINE_SEARCH_SHRINK ** k * step.reshape(nodes.shape)
-            yield basis, _monomials(basis, cand), w
-
-
-class TestCertifiedRejection:
-    def test_screen_never_rejects_a_trial_the_exact_check_accepts(self):
-        # thresholds at random, a relative 1e-6 below the trial's exact
-        # residual norm, and within a few ulps of it on either side
-        rng = np.random.default_rng(12)
-        margin = rejected = 0
-        for basis, mono, w in _screen_cases(rng):
-            exact = mq.residual(basis.coeff_matrix @ mono, w)[1]
-            ulps = [exact + k * np.spacing(exact) for k in range(-4, 5)]
-            for nrm in [exact * rng.uniform(0.5, 1.5), exact * (1 - 1e-6), *ulps]:
-                if _certified_worse(basis, mono, w, nrm):
-                    rejected += 1
-                    assert exact > nrm
-                elif nrm == exact * (1 - 1e-6):
-                    margin += 1
-        # the screen is not vacuous: it certifies every clear rejection here
-        assert rejected > 0 and margin == 0
-
-    def test_screen_that_is_not_finite_certifies_nothing(self, hermite2):
-        mono = np.array([[1.0, 1.0], [np.inf, 0.0], [1.0, 0.0]])
-        with np.errstate(invalid="ignore"):
-            for w in (np.array([1.0, 0.0]), np.array([np.nan, 1.0])):
-                assert not _certified_worse(hermite2, mono, w, 0.0)
-
-
 def _reference_bcd(basis, start, cfg):
     """bcd_solve with every node set evaluated afresh, as the solver first ran.
 
@@ -656,29 +609,29 @@ class TestBcdSolve:
 
     def test_each_node_set_gets_one_monomial_table(self, monkeypatch):
         # one table for the start and one per line-search trial; no table
-        # for the outer iterations' Phi or the Jacobians. Every trial passes
-        # the rejection screen once, whether or not it then forms Phi.
+        # for the outer iterations' Phi or the Jacobians. Every trial forms
+        # one residual, and so does every outer iteration.
         import mixquad.basis
         import mixquad.quadrature
 
-        tables, screens = [], []
-        monomials, screen = mixquad.basis._monomials, mixquad.quadrature._certified_worse
+        tables, residuals = [], []
+        monomials, residual = mixquad.basis._monomials, mixquad.quadrature.residual
 
         def counting_monomials(basis, X):
             tables.append(X.copy())
             return monomials(basis, X)
 
-        def counting_screen(basis, mono, w, nrm):
-            screens.append(None)
-            return screen(basis, mono, w, nrm)
+        def counting_residual(phi, w):
+            residuals.append(None)
+            return residual(phi, w)
 
         monkeypatch.setattr("mixquad.basis._monomials", counting_monomials)
         monkeypatch.setattr("mixquad.quadrature._monomials", counting_monomials, raising=False)
-        monkeypatch.setattr("mixquad.quadrature._certified_worse", counting_screen)
+        monkeypatch.setattr("mixquad.quadrature.residual", counting_residual)
         gm = corr2d()
         cfg = mq.SolverConfig(seed=3)
-        mq.bcd_solve(basis_for(gm, 2), clustered_start(gm, 4, seed=3), cfg)
-        trials = len(screens)
+        rule = mq.bcd_solve(basis_for(gm, 2), clustered_start(gm, 4, seed=3), cfg)
+        trials = len(residuals) - len(rule.history)
         assert trials > 0
         assert len(tables) == 1 + trials
 
