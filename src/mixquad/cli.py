@@ -17,6 +17,7 @@ import numpy as np
 from . import benchmarks, rules
 from .basis import gram_schmidt
 from .collocation import (
+    MIN_DENSITY_SAMPLES,
     AdapterError,
     ModelAdapter,
     _check_exactness,
@@ -55,8 +56,8 @@ def cmd_basis(args):
     basis_2p = gram_schmidt(moments, gm.dim, 2 * p)
     basis_p = gram_schmidt(moments, gm.dim, p)
     out = Path(args.out)
-    _write(out / "basis_2p.json", rules.basis_to_json(basis_2p, gm))
-    _write(out / "basis_p.json", rules.basis_to_json(basis_p, gm))
+    _write(out / "basis_2p.json", rules.stamped(rules.basis_to_json(basis_2p), gm))
+    _write(out / "basis_p.json", rules.stamped(rules.basis_to_json(basis_p), gm))
     print(
         f"basis: dim={gm.dim} p={p} sizes {basis_p.size}/{basis_2p.size} "
         f"gram residuals {basis_p.gram_residual:.2e}/{basis_2p.gram_residual:.2e}",
@@ -72,21 +73,27 @@ def _stage_basis(path, gm, q):
     """
     if not path.exists():
         return gram_schmidt(raw_moments(gm, 2 * q), gm.dim, q)
-    basis, digest = _read(path, rules.basis_document_from_json)
+    basis = _read(path, rules.basis_from_json)
     if (basis.dim, basis.order) != (gm.dim, q):
         raise ValueError(
             f"{path} holds a basis of dim {basis.dim} and order {basis.order}; "
             f"this run needs dim {gm.dim} and order {q}"
         )
+    _check_stamp(path, gm, "basis")
+    return basis
+
+
+def _check_stamp(path, gm, stage):
+    """Fail unless the document at path, written by `mixquad <stage>`, carries gm's digest."""
+    digest = rules.stamp(path.read_text())
     expected = rules.mixture_sha256(gm)
     if digest is None:
-        raise ValueError(f"{path} has no mixture_sha256; rerun `mixquad basis` for this mixture")
+        raise ValueError(f"{path} has no mixture_sha256; rerun `mixquad {stage}` for this mixture")
     if digest != expected:
         raise ValueError(
             f"{path} was written for another mixture (mixture_sha256 {digest}, "
-            f"this run's mixture has {expected}); rerun `mixquad basis`"
+            f"this run's mixture has {expected}); rerun `mixquad {stage}`"
         )
-    return basis
 
 
 def cmd_quadrature(args):
@@ -97,7 +104,7 @@ def cmd_quadrature(args):
     out = Path(args.out)
     basis_2p = _stage_basis(out / "basis_2p.json", gm, 2 * args.order)
     rule = adaptive_rule(basis_2p, gm, SolverConfig(residual_tol=args.tol, seed=args.seed))
-    _write(out / "rule.json", rules.rule_to_json(rule))
+    _write(out / "rule.json", rules.stamped(rules.rule_to_json(rule), gm))
     _write(out / "nodes.csv", rules.nodes_to_csv(rule.nodes))
     print(
         f"quadrature: M={rule.n_nodes} residual={rule.residual_norm:.3e} "
@@ -112,13 +119,12 @@ def cmd_surrogate(args):
     p = args.order
     out = Path(args.out)
     rule = _read(out / "rule.json", rules.rule_from_json)
-    if rule.dim != gm.dim:
-        raise ValueError(f"rule dimension {rule.dim} does not match mixture dimension {gm.dim}")
+    _check_stamp(out / "rule.json", gm, "quadrature")
     _check_exactness(rule, p)
     basis_p = _stage_basis(out / "basis_p.json", gm, p)
     values = evaluate_model(args.adapter, rule.nodes)
     surr = project(rule, basis_p, values, model_name=args.adapter.describe())
-    _write(out / "surrogate.json", rules.surrogate_to_json(surr))
+    _write(out / "surrogate.json", rules.stamped(rules.surrogate_to_json(surr), gm))
     rows = [(j, " ".join(map(str, alpha)), c, abs(c)) for j, (alpha, c) in
             enumerate(zip(basis_p.exponent_matrix().tolist(), surr.coefficients.tolist()))]
     header = ("index", "exponents", "coefficient", "magnitude")
@@ -137,9 +143,7 @@ def cmd_stats(args):
     out = Path(args.out)
     path = out / "surrogate.json"
     surr = _read(path, rules.surrogate_from_json)
-    if surr.basis.dim != gm.dim:
-        raise ValueError(f"{path}: surrogate dimension {surr.basis.dim} does not match "
-                         f"mixture dimension {gm.dim}")
+    _check_stamp(path, gm, "surrogate")
     mean, variance, std = statistics(surr)
     dens = density_estimate(surr, gm, args.n_samples, args.seed, n_bins=args.bins)
     _write(out / "stats.json", rules.stats_to_json(mean, variance, std))
@@ -163,10 +167,12 @@ def cmd_sample(args):
     return 0
 
 
-def _nonnegative(text):
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
+def _at_least(low):
+    def parse(text):
+        if not text.strip().isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _builtin_model(text):
@@ -195,9 +201,9 @@ def build_parser():
         required=True,
         help="mixture JSON path or builtin:<name> (builtin:gm6, builtin:gm4)",
     )
-    shared.add_argument("--order", type=_nonnegative, default=2, metavar="P",
+    shared.add_argument("--order", type=_at_least(0), default=2, metavar="P",
                         help="surrogate total order p (default 2)")
-    shared.add_argument("--seed", type=_nonnegative, default=0, help="seed (default 0)")
+    shared.add_argument("--seed", type=_at_least(0), default=0, help="seed (default 0)")
     shared.add_argument("--out", default=".", help="output directory (default .)")
 
     parser = argparse.ArgumentParser(
@@ -226,13 +232,14 @@ def build_parser():
 
     p_stats = sub.add_parser("stats", parents=[shared],
                              help="surrogate statistics and output density tables")
-    p_stats.add_argument("--n-samples", type=int, default=100_000,
+    p_stats.add_argument("--n-samples", type=_at_least(MIN_DENSITY_SAMPLES), default=100_000,
                          help="surrogate sample count for the density (default 1e5)")
-    p_stats.add_argument("--bins", type=int, default=60, help="histogram bins (default 60)")
+    p_stats.add_argument("--bins", type=_at_least(1), default=60,
+                         help="histogram bins (default 60)")
 
     p_sample = sub.add_parser("sample", parents=[shared],
                               help="draw seeded samples from the mixture")
-    p_sample.add_argument("--n", type=_nonnegative, required=True, help="number of draws")
+    p_sample.add_argument("--n", type=_at_least(0), required=True, help="number of draws")
 
     return parser
 

@@ -34,6 +34,9 @@ __all__ = [
     "evaluate_model",
 ]
 
+# fewest surrogate samples density_estimate accepts
+MIN_DENSITY_SAMPLES = 10 ** 3
+
 
 class AdapterError(RuntimeError):
     """Model evaluation through an adapter failed; message carries context."""
@@ -213,8 +216,8 @@ def density_estimate(s, gm, n_samples, seed, n_bins=60):
     +-8h; on benchmark outputs at 1e5 samples it stays within about 2e-6 of
     the exact KDE relative to its peak. Deterministic given the seed.
     """
-    if n_samples < 10 ** 3:
-        raise ValueError(f"need n_samples >= 1000, got {n_samples}")
+    if n_samples < MIN_DENSITY_SAMPLES:
+        raise ValueError(f"need n_samples >= {MIN_DENSITY_SAMPLES}, got {n_samples}")
     # the samples are freed before the histogram and the KDE
     ys = evaluate_batch(s, sample(gm, n_samples, seed))
     if ys.max() == ys.min():

@@ -41,8 +41,6 @@ CLOUD_FACTOR = 10
 GN_DAMPING = 1e-6
 # step shrink per Gauss-Newton backtrack
 LINE_SEARCH_SHRINK = 0.5
-# nodes at most this far apart (Euclidean) count as one in the decrease phase
-COINCIDENT_TOL = 1e-6
 # largest distance the start clustering's float32 buffer holds
 FLOAT32_MAX = float(np.finfo(np.float32).max)
 
@@ -424,12 +422,9 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
     one seeded cloud of cap samples, built once, into M clusters and takes
     their means (_centroids). Step 3 repeatedly deletes one node and
     re-solves warm-started from the remaining nodes, accepting while the
-    tolerance holds. The deleted node is the lighter one of the closest pair
-    when two nodes coincide (Euclidean distance <= COINCIDENT_TOL), since the
-    solve can split one node's weight over two near-duplicates; otherwise it
-    is the minimum-weight node (ties: lowest index). The whole call, like
-    bcd_solve, runs with the bundled OpenBLAS at one thread
-    (basis._one_blas_thread).
+    tolerance holds. The deleted node is the minimum-weight node (ties:
+    lowest index). The whole call, like bcd_solve, runs with the bundled
+    OpenBLAS at one thread (basis._one_blas_thread).
 
     on_accept, when given, is called with every accepted (converged) rule in
     order, which exposes the decrease-phase trajectory for verification.
@@ -465,8 +460,7 @@ def adaptive_rule(basis, gm, cfg, on_accept=None):
     if on_accept is not None:
         on_accept(rule)
     while rule.n_nodes > 1:
-        k = _deletion_index(rule)
-        trial_nodes = np.delete(rule.nodes, k, axis=0)
+        trial_nodes = np.delete(rule.nodes, int(np.argmin(rule.weights)), axis=0)
         trial = bcd_solve(basis, trial_nodes, cfg)
         if not trial.converged:
             break
@@ -490,13 +484,3 @@ def _gauss_nodes(basis, gm):
     H1 = m[1:][np.add.outer(np.arange(n), np.arange(n))]
     return np.linalg.eigvalsh(C @ H1 @ C.T)[:, None]
 
-
-def _deletion_index(rule):
-    """Node the decrease phase deletes next; see adaptive_rule, step 3."""
-    X = rule.nodes
-    dist = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=-1)
-    np.fill_diagonal(dist, np.inf)
-    i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
-    if dist[i, j] <= COINCIDENT_TOL:
-        return int(i if rule.weights[i] <= rule.weights[j] else j)
-    return int(np.argmin(rule.weights))

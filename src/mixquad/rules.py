@@ -144,8 +144,18 @@ def mixture_from_json(text):
 
 
 def mixture_sha256(gm):
-    """SHA-256 of the mixture's canonical JSON, which ties a basis file to it."""
+    """SHA-256 of the mixture's canonical JSON, which ties a document to it."""
     return hashlib.sha256(mixture_to_json(gm).encode()).hexdigest()
+
+
+def stamped(text, mixture):
+    """text, as _dumps wrote it, with mixture_sha256 appended as its last field."""
+    return f'{text[:-3]},\n  "mixture_sha256": "{mixture_sha256(mixture)}"\n}}\n'
+
+
+def stamp(text):
+    """The mixture_sha256 of a JSON document, or None when it has none."""
+    return json.loads(text).get("mixture_sha256")
 
 
 def _basis_dict(basis):
@@ -173,22 +183,14 @@ def _basis(obj):
     return basis
 
 
-def basis_to_json(basis, mixture=None):
-    """Serialize to canonical JSON, with the mixture_sha256 of a given mixture."""
-    obj = _basis_dict(basis)
-    if mixture is not None:
-        obj["mixture_sha256"] = mixture_sha256(mixture)
-    return _dumps(obj)
+def basis_to_json(basis):
+    """Serialize to canonical JSON (fixed key order, round-trip decimals)."""
+    return _dumps(_basis_dict(basis))
 
 
 def basis_from_json(text):
     """Parse a basis serialized by basis_to_json."""
-    return basis_document_from_json(text)[0]
-
-
-def basis_document_from_json(text):
-    """(basis, its mixture_sha256 or None) from a basis document."""
-    return _loads(text, "basis", lambda obj: (_basis(obj), obj.get("mixture_sha256")))
+    return _loads(text, "basis", _basis)
 
 
 def rule_to_json(rule):

@@ -13,6 +13,8 @@ from numpy.testing import assert_allclose
 
 import mixquad as mq
 from mixquad.cli import main
+from mixquad.collocation import MIN_DENSITY_SAMPLES
+from mixquad.rules import mixture_sha256, stamped
 
 
 def run_cli(*args, env=None):
@@ -368,7 +370,7 @@ class TestBasisReuse:
         for name in ("basis_p.json", "basis_2p.json"):
             text = (gm4_p1 / name).read_text()
             assert json.loads(text)["mixture_sha256"] == digest
-            assert mq.basis_to_json(mq.basis_from_json(text), gm) == text
+            assert stamped(mq.basis_to_json(mq.basis_from_json(text)), gm) == text
 
     @pytest.mark.parametrize("field", ["coeff_matrix", "indices"],
                              ids=["row-dropped", "indices-swapped"])
@@ -498,6 +500,57 @@ class TestBasisReuse:
         assert proc.stdout.strip() == repr(["scipy.linalg._flapack", "scipy.optimize._slsqplib"])
 
 
+@pytest.fixture(scope="module")
+def shifted_gm4(tmp_path_factory):
+    """gm4 with every mean moved by +1, and its config file: same dim, other moments."""
+    gm = mq.benchmarks.builtin_mixture("gm4")
+    shifted = mq.GaussianMixture(gm.mix_weights, np.asarray(gm.means) + 1.0, gm.covariances)
+    path = tmp_path_factory.mktemp("shifted") / "shifted.json"
+    path.write_text(mq.mixture_to_json(shifted))
+    return shifted, path
+
+
+# stage, the document it reads, the stage that writes that document
+STAMPED_READS = [("surrogate", "rule.json", "quadrature"), ("stats", "surrogate.json", "surrogate")]
+
+
+class TestMixtureDigest:
+    @pytest.mark.parametrize("stage, name, writer", STAMPED_READS)
+    def test_document_of_another_mixture_is_rejected(self, gm4_p1, shifted_gm4, tmp_path,
+                                                     capsys, stage, name, writer):
+        # without basis files in --out, only the digest can tell the mixtures apart
+        (tmp_path / name).write_bytes((gm4_p1 / name).read_bytes())
+        shifted, config = shifted_gm4
+        extra = ["--model", "builtin:filter4"] if stage == "surrogate" else []
+        code = main([stage, "--config", str(config), "--order", "1", "--out", str(tmp_path),
+                     *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        gm4 = mixture_sha256(mq.benchmarks.builtin_mixture("gm4"))
+        assert err == (f"error: {tmp_path / name} was written for another mixture "
+                       f"(mixture_sha256 {gm4}, this run's mixture has "
+                       f"{mixture_sha256(shifted)}); rerun `mixquad {writer}`\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+    @pytest.mark.parametrize("stage, name, writer", STAMPED_READS)
+    def test_document_without_mixture_digest_is_rejected(self, gm4_p1, tmp_path, capsys, stage,
+                                                         name, writer):
+        text = (gm4_p1 / name).read_text()
+        write, read = {"rule.json": (mq.rule_to_json, mq.rule_from_json),
+                       "surrogate.json": (mq.surrogate_to_json, mq.surrogate_from_json)}[name]
+        unstamped = write(read(text))
+        assert stamped(unstamped, mq.benchmarks.builtin_mixture("gm4")) == text
+        (tmp_path / name).write_text(unstamped)
+        extra = ["--model", "builtin:filter4"] if stage == "surrogate" else []
+        code = main([stage, "--config", "builtin:gm4", "--order", "1", "--out", str(tmp_path),
+                     *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error: {tmp_path / name} has no mixture_sha256; "
+                       f"rerun `mixquad {writer}` for this mixture\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
 class TestStatsCommand:
     def test_stats_match_the_stored_surrogate(self, cfg2, pipeline_out):
         res = run_cli("stats", "--config", cfg2, "--out", pipeline_out)
@@ -541,14 +594,22 @@ class TestStatsCommand:
         res = run_cli("stats", "--config", "builtin:gm6", "--out", tmp_path)
         assert res.returncode == 1
         path = tmp_path / "surrogate.json"
-        assert res.stderr == (f"error: {path}: surrogate dimension 4 does not match "
-                              "mixture dimension 6\n")
+        gm4, gm6 = (mixture_sha256(mq.benchmarks.builtin_mixture(n)) for n in ("gm4", "gm6"))
+        assert res.stderr == (f"error: {path} was written for another mixture (mixture_sha256 "
+                              f"{gm4}, this run's mixture has {gm6}); rerun `mixquad surrogate`\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["surrogate.json"]
 
-    def test_failed_run_writes_no_artifact(self, cfg2, pipeline_out, tmp_path):
+    def test_failed_run_writes_no_artifact(self, cfg2, pipeline_out, tmp_path, monkeypatch,
+                                           capsys):
+        # the density fails after the statistics are computed: stats.json is not written either
         (tmp_path / "surrogate.json").write_bytes((pipeline_out / "surrogate.json").read_bytes())
-        res = run_cli("stats", "--config", cfg2, "--out", tmp_path, "--n-samples", 10)
-        assert res.returncode == 1 and "n_samples" in res.stderr
+
+        def failing_density(*args, **kwargs):
+            raise ValueError("density failed")
+
+        monkeypatch.setattr("mixquad.cli.density_estimate", failing_density)
+        code = main(["stats", "--config", str(cfg2), "--out", str(tmp_path)])
+        assert code == 1 and "density failed" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["surrogate.json"]
 
 
@@ -586,6 +647,22 @@ class TestParser:
         res = run_cli("basis", "--config", cfg1, "--out", tmp_path, "--order", -1)
         assert res.returncode == 2
         assert "argument --order: must be an integer >= 0, got '-1'" in res.stderr
+
+    @pytest.mark.parametrize("flag, value, low", [
+        ("--bins", "0", 1),
+        ("--bins", "-4", 1),
+        ("--n-samples", str(MIN_DENSITY_SAMPLES - 1), MIN_DENSITY_SAMPLES),
+    ])
+    def test_stats_count_below_its_bound_names_the_flag(self, tmp_path, capsys, flag, value,
+                                                        low):
+        # a usage error, before the config or surrogate.json is read or anything written
+        with pytest.raises(SystemExit) as info:
+            main(["stats", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path),
+                  flag, value])
+        assert info.value.code == 2
+        assert f"argument {flag}: must be an integer >= {low}, got '{value}'" in (
+            capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("stage", ["quadrature", "stats"])
     def test_negative_seed_names_the_flag(self, cfg2, tmp_path, stage):

@@ -968,6 +968,48 @@ class TestAdaptiveRule:
         gram = (phi[:Nk] * rule.weights) @ phi[:Nk].T
         assert_allclose(gram - np.eye(Nk), T @ r, rtol=0.0, atol=1e-10)
 
+    def test_rung_skipped_by_proof_would_have_failed(self, monkeypatch):
+        # gm6 at p = 1: the ladder 4 -> 6 -> 9 starts at 9, as 6 < N_1 = 7
+        gm = builtin_mixture("gm6")
+        basis = basis_for(gm, 2)
+        solve, starts = quadrature.bcd_solve, []
+
+        def recording_solve(basis, nodes, cfg):
+            starts.append(len(nodes))
+            return solve(basis, nodes, cfg)
+
+        monkeypatch.setattr("mixquad.quadrature.bcd_solve", recording_solve)
+        cfg = mq.SolverConfig(seed=0)
+        rule = mq.adaptive_rule(basis, gm, cfg)
+        assert starts == [9, 8, 7, 6]
+        assert rule.converged and rule.n_nodes == comb(7, 6)
+        # the skipped rung, cut from the same cloud, ends above the Gram bound
+        T = product_tensor(gm, basis)
+        bound = 1.0 / np.linalg.norm(T.reshape(T.shape[0] ** 2, -1), 2)
+        assert bound >= 0.33
+        skipped = solve(basis, clustered_start(gm, 6, seed=0, count=10 * basis.size), cfg)
+        assert not skipped.converged and skipped.residual_norm >= bound
+
+    @pytest.mark.parametrize("name, M", [("gm4", 18), ("gm6", 35)])
+    def test_decrease_phase_deletes_the_lightest_node(self, monkeypatch, name, M):
+        gm = builtin_mixture(name)
+        basis = basis_for(gm, 4)
+        solve, accepted, trials = quadrature.bcd_solve, [], []
+
+        def recording_solve(basis, nodes, cfg):
+            if accepted:
+                trials.append((accepted[-1], np.array(nodes)))
+            return solve(basis, nodes, cfg)
+
+        monkeypatch.setattr("mixquad.quadrature.bcd_solve", recording_solve)
+        rule = mq.adaptive_rule(basis, gm, mq.SolverConfig(seed=0), on_accept=accepted.append)
+        assert rule is accepted[-1] and rule.n_nodes == M
+        # one trial after each accepted rule; the last one failed
+        assert [prev for prev, _ in trials] == accepted
+        for prev, start in trials:
+            lightest = int(np.argmin(prev.weights))
+            assert np.array_equal(start, np.delete(prev.nodes, lightest, axis=0))
+
     @pytest.mark.parametrize("d, p, seed", [(2, 3, 0), (3, 3, 1), (5, 2, 2), (2, 4, 3)])
     def test_first_rung_fails_where_it_is_not_provably_infeasible(self, d, p, seed):
         # the evidence for skipping the M0 rung at M0 >= N_k: its solve from

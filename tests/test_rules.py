@@ -1,11 +1,13 @@
 """Artifact formats: every document kind reads back to the bytes it was written from."""
 
 import io
+import json
 
 import numpy as np
 import pytest
 
 import mixquad as mq
+from mixquad.rules import _dumps, mixture_sha256, stamp, stamped
 
 
 def corr2d():
@@ -77,6 +79,19 @@ def test_damaged_json_document_names_its_kind(kind, damage):
     bad = text[: len(text) // 2] if damage == "truncated" else "[1, 2]"
     with pytest.raises(ValueError, match=f"malformed {kind} document"):
         read(bad)
+
+
+@pytest.mark.parametrize("kind", ["mixture", "basis", "rule", "surrogate"])
+def test_stamped_document_is_the_redump_with_the_digest_last(kind):
+    make, write, read, _ = KINDS[kind]
+    text = write(make())
+    digest = mixture_sha256(corr2d())
+    got = stamped(text, corr2d())
+    assert got == _dumps({**json.loads(text), "mixture_sha256": digest})
+    assert list(json.loads(got))[-1] == "mixture_sha256"
+    assert (stamp(got), stamp(text)) == (digest, None)
+    # readers ignore the field
+    assert write(read(got)) == text
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-12])
