@@ -313,7 +313,7 @@ def _monomials(basis, X):
     P = np.ones((basis.dim, basis.order + 1, n))
     for e in range(1, basis.order + 1):
         P[:, e] = P[:, e - 1] * X.T
-    P = P.reshape(-1, n)
+    P = P.reshape(basis.dim * (basis.order + 1), n)
     mono = np.empty((basis.size, n))
     mono[0] = 1.0
     prefix, power = basis._prefixes.T

@@ -36,12 +36,27 @@ def _load_mixture(spec):
     return _read(Path(spec), rules.mixture_from_json)
 
 
-def _read(path, parse):
-    """parse(the text of path), with the path in front of a ValueError's message."""
+def _read(path, parse, gm=None, stage=None):
+    """parse(the text of path), with the path in front of a ValueError's message.
+
+    With gm, the text must also carry gm's digest, as `mixquad <stage>` stamps it.
+    """
+    text = path.read_text()
     try:
-        return parse(path.read_text())
+        doc = parse(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    if gm is not None:
+        digest, expected = rules.stamp(text), rules.mixture_sha256(gm)
+        if digest is None:
+            raise ValueError(
+                f"{path} has no mixture_sha256; rerun `mixquad {stage}` for this mixture")
+        if digest != expected:
+            raise ValueError(
+                f"{path} was written for another mixture (mixture_sha256 {digest}, "
+                f"this run's mixture has {expected}); rerun `mixquad {stage}`"
+            )
+    return doc
 
 
 def _write(path, text):
@@ -49,13 +64,11 @@ def _write(path, text):
     path.write_text(text)
 
 
-def cmd_basis(args):
-    gm = _load_mixture(args.config)
+def cmd_basis(args, gm, out):
     p = args.order
     moments = raw_moments(gm, 4 * p)
     basis_2p = gram_schmidt(moments, gm.dim, 2 * p)
     basis_p = gram_schmidt(moments, gm.dim, p)
-    out = Path(args.out)
     _write(out / "basis_2p.json", rules.stamped(rules.basis_to_json(basis_2p), gm))
     _write(out / "basis_p.json", rules.stamped(rules.basis_to_json(basis_p), gm))
     print(
@@ -73,35 +86,20 @@ def _stage_basis(path, gm, q):
     """
     if not path.exists():
         return gram_schmidt(raw_moments(gm, 2 * q), gm.dim, q)
-    basis = _read(path, rules.basis_from_json)
-    if (basis.dim, basis.order) != (gm.dim, q):
-        raise ValueError(
-            f"{path} holds a basis of dim {basis.dim} and order {basis.order}; "
-            f"this run needs dim {gm.dim} and order {q}"
-        )
-    _check_stamp(path, gm, "basis")
-    return basis
+
+    def parse(text):
+        basis = rules.basis_from_json(text)
+        if (basis.dim, basis.order) != (gm.dim, q):
+            raise ValueError(f"the basis has dim {basis.dim} and order {basis.order}; "
+                             f"this run needs dim {gm.dim} and order {q}")
+        return basis
+    return _read(path, parse, gm, "basis")
 
 
-def _check_stamp(path, gm, stage):
-    """Fail unless the document at path, written by `mixquad <stage>`, carries gm's digest."""
-    digest = rules.stamp(path.read_text())
-    expected = rules.mixture_sha256(gm)
-    if digest is None:
-        raise ValueError(f"{path} has no mixture_sha256; rerun `mixquad {stage}` for this mixture")
-    if digest != expected:
-        raise ValueError(
-            f"{path} was written for another mixture (mixture_sha256 {digest}, "
-            f"this run's mixture has {expected}); rerun `mixquad {stage}`"
-        )
-
-
-def cmd_quadrature(args):
+def cmd_quadrature(args, gm, out):
     # imported here so that the stages that only read artifacts never load scipy
     from .quadrature import SolverConfig, adaptive_rule
 
-    gm = _load_mixture(args.config)
-    out = Path(args.out)
     basis_2p = _stage_basis(out / "basis_2p.json", gm, 2 * args.order)
     rule = adaptive_rule(basis_2p, gm, SolverConfig(residual_tol=args.tol, seed=args.seed))
     _write(out / "rule.json", rules.stamped(rules.rule_to_json(rule), gm))
@@ -114,12 +112,9 @@ def cmd_quadrature(args):
     return 0 if rule.converged else 1
 
 
-def cmd_surrogate(args):
-    gm = _load_mixture(args.config)
+def cmd_surrogate(args, gm, out):
     p = args.order
-    out = Path(args.out)
-    rule = _read(out / "rule.json", rules.rule_from_json)
-    _check_stamp(out / "rule.json", gm, "quadrature")
+    rule = _read(out / "rule.json", rules.rule_from_json, gm, "quadrature")
     _check_exactness(rule, p)
     basis_p = _stage_basis(out / "basis_p.json", gm, p)
     values = evaluate_model(args.adapter, rule.nodes)
@@ -138,12 +133,8 @@ def cmd_surrogate(args):
     return 0
 
 
-def cmd_stats(args):
-    gm = _load_mixture(args.config)
-    out = Path(args.out)
-    path = out / "surrogate.json"
-    surr = _read(path, rules.surrogate_from_json)
-    _check_stamp(path, gm, "surrogate")
+def cmd_stats(args, gm, out):
+    surr = _read(out / "surrogate.json", rules.surrogate_from_json, gm, "surrogate")
     mean, variance, std = statistics(surr)
     dens = density_estimate(surr, gm, args.n_samples, args.seed, n_bins=args.bins)
     _write(out / "stats.json", rules.stats_to_json(mean, variance, std))
@@ -158,11 +149,10 @@ def cmd_stats(args):
     return 0
 
 
-def cmd_sample(args):
-    gm = _load_mixture(args.config)
+def cmd_sample(args, gm, out):
     rows = sample(gm, args.n, args.seed).tolist() if args.n else []
     header = [f"xi_{i}" for i in range(gm.dim)]
-    _write(Path(args.out) / "samples.csv", rules.csv_text([header, *rows]))
+    _write(out / "samples.csv", rules.csv_text([header, *rows]))
     print(f"sample: wrote {args.n} draws (dim {gm.dim})", file=sys.stderr)
     return 0
 
@@ -256,7 +246,7 @@ HANDLERS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return HANDLERS[args.command](args)
+        return HANDLERS[args.command](args, _load_mixture(args.config), Path(args.out))
     except (ValueError, AdapterError, rules.IncreasePhaseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,6 +40,7 @@ class MomentOverflowError(ValueError):
         )
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class GaussianMixture:
     """Finite Gaussian mixture sum_k pi_k N(mu_k, Sigma_k) on R^d.
 
@@ -51,8 +52,12 @@ class GaussianMixture:
     to trace.
     """
 
-    def __init__(self, mix_weights, means, covariances):
-        w = np.asarray(mix_weights, dtype=float)
+    mix_weights: np.ndarray
+    means: list
+    covariances: list
+
+    def __post_init__(self):
+        w = np.asarray(self.mix_weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("mix_weights must be a nonempty vector")
         bad = np.flatnonzero(~np.isfinite(w))
@@ -62,12 +67,10 @@ class GaussianMixture:
             raise ValueError("mix_weights must be nonnegative")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
             raise ValueError(f"mix_weights sum to {w.sum()!r}, expected 1 within {WEIGHT_TOL:g}")
-        if len(means) != w.size or len(covariances) != w.size:
-            raise ValueError(
-                f"got {w.size} weights, {len(means)} means, {len(covariances)} covariances"
-            )
-        means = [np.asarray(m, dtype=float) for m in means]
-        covs = [np.asarray(S, dtype=float) for S in covariances]
+        means = [np.asarray(m, dtype=float) for m in self.means]
+        covs = [np.asarray(S, dtype=float) for S in self.covariances]
+        if len(means) != w.size or len(covs) != w.size:
+            raise ValueError(f"got {w.size} weights, {len(means)} means, {len(covs)} covariances")
         d = means[0].shape[0] if means[0].ndim == 1 else None
         chols = []
         for k, (m, S) in enumerate(zip(means, covs)):
@@ -89,32 +92,20 @@ class GaussianMixture:
                 raise ValueError(
                     f"component {k}: covariance is not positive definite"
                 ) from None
-        self._weights = w
-        self._means = means
-        self._covs = covs
-        self._chols = chols  # L_k with L_k L_k^T = Sigma_k, for sample
         for arr in [w, *means, *covs]:
             arr.flags.writeable = False
+        object.__setattr__(self, "mix_weights", w)
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "covariances", covs)
+        object.__setattr__(self, "_chols", chols)  # L_k with L_k L_k^T = Sigma_k, for sample
 
     @property
     def n_components(self):
-        return self._weights.size
+        return self.mix_weights.size
 
     @property
     def dim(self):
-        return self._means[0].shape[0]
-
-    @property
-    def mix_weights(self):
-        return self._weights
-
-    @property
-    def means(self):
-        return self._means
-
-    @property
-    def covariances(self):
-        return self._covs
+        return self.means[0].shape[0]
 
     def __repr__(self):
         return f"GaussianMixture(n_components={self.n_components}, dim={self.dim})"

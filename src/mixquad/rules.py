@@ -18,6 +18,9 @@ __all__ = ["QuadratureRule", "Surrogate", "IncreasePhaseError", "mixture_to_json
            "mixture_from_json", "basis_to_json", "basis_from_json", "rule_to_json",
            "rule_from_json", "surrogate_to_json", "surrogate_from_json", "nodes_to_csv"]
 
+# how stamped writes the last field of a document, up to its 64 hex digits
+_STAMP = ',\n  "mixture_sha256": "'
+
 
 class IncreasePhaseError(RuntimeError):
     """Increase phase hit the node budget without converging.
@@ -128,9 +131,16 @@ def mixture_to_json(gm):
     })
 
 
+def _typed(obj, key, kind):
+    """obj[key], if json.loads made it exactly a kind: true is no int, and 4.0 is none either."""
+    if type(obj[key]) is not kind:
+        raise ValueError(f"{key} must be of type {kind.__name__}, got {obj[key]!r}")
+    return obj[key]
+
+
 def _mixture(obj):
     comps = obj["components"]
-    declared = int(obj["dim"])
+    declared = _typed(obj, "dim", int)
     gm = GaussianMixture([c["weight"] for c in comps], [c["mean"] for c in comps],
                          [c["cov"] for c in comps])
     if gm.dim != declared:
@@ -150,12 +160,13 @@ def mixture_sha256(gm):
 
 def stamped(text, mixture):
     """text, as _dumps wrote it, with mixture_sha256 appended as its last field."""
-    return f'{text[:-3]},\n  "mixture_sha256": "{mixture_sha256(mixture)}"\n}}\n'
+    return f'{text[:-3]}{_STAMP}{mixture_sha256(mixture)}"\n}}\n'
 
 
 def stamp(text):
-    """The mixture_sha256 of a JSON document, or None when it has none."""
-    return json.loads(text).get("mixture_sha256")
+    """The mixture_sha256 that stamped wrote as the last field of text, or None."""
+    tail = text[-len(_STAMP) - 68:]
+    return tail[len(_STAMP):-4] if tail.startswith(_STAMP) and tail.endswith('"\n}\n') else None
 
 
 def _basis_dict(basis):
@@ -170,8 +181,8 @@ def _basis_dict(basis):
 
 def _basis(obj):
     basis = OrthoBasis(
-        dim=int(obj["dim"]),
-        order=int(obj["order"]),
+        dim=_typed(obj, "dim", int),
+        order=_typed(obj, "order", int),
         coeff_matrix=np.array(obj["coeff_matrix"], dtype=float),
         gram_residual=float(obj["gram_residual"]),
     )
@@ -211,9 +222,9 @@ def rule_from_json(text):
         nodes=np.array(obj["nodes"], dtype=float),
         weights=np.array(obj["weights"], dtype=float),
         residual_norm=float(obj["residual_norm"]),
-        basis_order=int(obj["order_2p"]),
-        converged=bool(obj["converged"]),
-        seed=obj["seed"],
+        basis_order=_typed(obj, "order_2p", int),
+        converged=_typed(obj, "converged", bool),
+        seed=None if obj["seed"] is None else _typed(obj, "seed", int),
     ))
 
 

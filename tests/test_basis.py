@@ -289,6 +289,15 @@ class TestEvalBasis:
                 dmono = E[:, i] * np.prod(X[:, None, :] ** lowered, axis=2)
                 assert_allclose(J[:, i, :], C @ dmono.T, rtol=1e-12, atol=1e-12)
 
+    def test_no_points_give_empty_tables(self):
+        basis = mq.gram_schmidt(mq.raw_moments(corr2d(), 4), 2, 2)
+        X = np.empty((0, 2))
+        assert mq.eval_basis_batch(basis, X).shape == (0, basis.size)
+        assert mq.assemble_phi(basis, X).shape == (basis.size, 0)
+        assert mq.stacked_jacobian(basis, X, np.empty(0)).shape == (basis.size, 0)
+        s = mq.Surrogate(basis=basis, coefficients=np.ones(basis.size), rule_residual=0.0)
+        assert mq.evaluate_batch(s, X).shape == (0,)
+
     def test_dimension_mismatch_rejected(self):
         basis = hermite_basis(2)
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 """End-to-end command-line pipeline: artifacts, determinism, exit codes."""
 
+import collections
 import hashlib
 import json
 import os
 import subprocess
 import sys
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,9 +420,10 @@ class TestBasisReuse:
         ("surrogate.json", "rule_residual", None, float("inf"), "rule_residual must be finite"),
         ("basis_p.json", "coeff_matrix", (2, 1), float("nan"), "coeff_matrix must be finite"),
         ("basis_p.json", "gram_residual", None, float("inf"), "gram_residual must be finite"),
+        ("rule.json", "order_2p", None, 4.9, "order_2p must be of type int, got 4.9"),
     ], ids=["rule-nan-weight", "rule-inf-weight", "rule-inf-node", "surrogate-nan-coefficient",
             "rule-nan-residual", "surrogate-inf-residual", "basis-nan-coefficient",
-            "basis-inf-gram-residual"])
+            "basis-inf-gram-residual", "rule-float-order"])
     def test_non_finite_artifact_is_rejected_on_read(self, gm4_p1, tmp_path, capsys, name, field,
                                                      index, bad, message):
         for artifact in ("basis_p.json", "rule.json", "surrogate.json"):
@@ -549,6 +552,26 @@ class TestMixtureDigest:
         assert err == (f"error: {tmp_path / name} has no mixture_sha256; "
                        f"rerun `mixquad {writer}` for this mixture\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+    @pytest.mark.parametrize("stage, reads", [
+        ("quadrature", {"basis_2p.json": 1}),
+        ("surrogate", {"rule.json": 1, "basis_p.json": 1}),
+        ("stats", {"surrogate.json": 1}),
+    ])
+    def test_each_document_is_read_once(self, gm4_p1, tmp_path, monkeypatch, stage, reads):
+        # the digest is checked in the text the reader parsed, not in a second read
+        for name in ("basis_2p.json", "basis_p.json", "rule.json", "surrogate.json"):
+            (tmp_path / name).write_bytes((gm4_p1 / name).read_bytes())
+        counts, read_text = collections.Counter(), Path.read_text
+
+        def counting_read_text(path, *args, **kwargs):
+            counts[path.name] += 1
+            return read_text(path, *args, **kwargs)
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        extra = ["--model", "builtin:filter4"] if stage == "surrogate" else []
+        assert main([stage, "--config", "builtin:gm4", "--order", "1", "--out", str(tmp_path),
+                     *extra]) == 0
+        assert counts == reads
 
 
 class TestStatsCommand:

@@ -82,7 +82,7 @@ def test_damaged_json_document_names_its_kind(kind, damage):
 
 
 @pytest.mark.parametrize("kind", ["mixture", "basis", "rule", "surrogate"])
-def test_stamped_document_is_the_redump_with_the_digest_last(kind):
+def test_stamped_document_is_the_redump_with_the_digest_last(kind, monkeypatch):
     make, write, read, _ = KINDS[kind]
     text = write(make())
     digest = mixture_sha256(corr2d())
@@ -90,8 +90,35 @@ def test_stamped_document_is_the_redump_with_the_digest_last(kind):
     assert got == _dumps({**json.loads(text), "mixture_sha256": digest})
     assert list(json.loads(got))[-1] == "mixture_sha256"
     assert (stamp(got), stamp(text)) == (digest, None)
+    # the digest is read where stamped writes it, as the last field, and nowhere else
+    moved = _dumps({"mixture_sha256": digest, **json.loads(text)})
+    assert stamp(moved) is None and stamp(json.dumps(json.loads(got))) is None
     # readers ignore the field
     assert write(read(got)) == text
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("stamp parsed the document")
+    monkeypatch.setattr(json, "loads", no_parse)
+    assert stamp(got) == digest
+
+
+@pytest.mark.parametrize("kind, key, bad", [
+    ("mixture", "dim", 2.0),
+    ("mixture", "dim", "2"),
+    ("basis", "dim", True),
+    ("basis", "order", 2.5),
+    ("rule", "order_2p", 4.9),
+    ("rule", "order_2p", True),
+    ("rule", "seed", "x"),
+    ("rule", "converged", "false"),
+    ("rule", "converged", 1),
+])
+def test_typed_field_of_another_json_type_is_rejected_by_name(kind, key, bad):
+    make, write, read, _ = KINDS[kind]
+    obj = json.loads(write(make()))
+    obj[key] = bad
+    with pytest.raises(ValueError, match=f"^{key} must be of type "):
+        read(_dumps(obj))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-12])
