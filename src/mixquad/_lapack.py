@@ -28,8 +28,9 @@ solve_triangular(a, b, lower) -> x
     scipy.linalg.solve_triangular(a, b, lower=lower).
 nnls(A, b) -> (x, rnorm)
     Lawson-Hanson NNLS on the (m, n) matrix A and the length-m vector b,
-    with at most 3 n iterations; A and b must be finite (ValueError), and
-    reaching the limit raises RuntimeError. scipy.optimize.nnls(A, b).
+    with at most 30 n iterations on either route; A and b must be finite
+    (ValueError), and reaching the limit raises RuntimeError.
+    scipy.optimize.nnls(A, b, maxiter=30 * n).
 """
 
 import ctypes
@@ -130,16 +131,17 @@ def _nnls_extension():
 
 
 def _nnls():
-    """nnls on the NNLS extension, or scipy's public function where it is missing."""
+    """scipy.optimize.nnls, on the NNLS extension where it is found; maxiter defaults to 3 n."""
     module = _nnls_extension()
     if module is None:
         from scipy.optimize import nnls
 
         return nnls
 
-    def nnls(A, b):
+    def nnls(A, b, *, maxiter=None):
         A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
-        x, rnorm, info = module.nnls(A, np.asarray_chkfinite(b, dtype=np.float64), 3 * A.shape[1])
+        b = np.asarray_chkfinite(b, dtype=np.float64)
+        x, rnorm, info = module.nnls(A, b, maxiter or 3 * A.shape[1])
         if info == 3:
             raise RuntimeError("Maximum number of iterations reached.")
         return x, rnorm
@@ -147,4 +149,8 @@ def _nnls():
     return nnls
 
 
-nnls = _nnls()
+_route = _nnls()
+
+
+def nnls(A, b):
+    return _route(A, b, maxiter=30 * np.shape(A)[1])

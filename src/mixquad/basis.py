@@ -309,16 +309,21 @@ def _monomials(basis, X):
     nonzero coordinate of alpha and alpha' of lower grade (see _prefixes), so
     each monomial multiplies its powers left to right over the dimensions.
     """
-    n = X.shape[0]
-    P = np.ones((basis.dim, basis.order + 1, n))
-    for e in range(1, basis.order + 1):
-        P[:, e] = P[:, e - 1] * X.T
-    P = P.reshape(basis.dim * (basis.order + 1), n)
+    d, q, n = basis.dim, basis.order, X.shape[0]
     mono = np.empty((basis.size, n))
     mono[0] = 1.0
+    if q == 0:
+        return mono
+    # grade 1 is the coordinates; power rows x_j ** 0 are never gathered
+    mono[1 : d + 1] = X.T
+    P = np.empty((d, q + 1, n))
+    P[:, 1] = X.T
+    for e in range(2, q + 1):
+        np.multiply(P[:, e - 1], X.T, out=P[:, e])
+    P = P.reshape(d * (q + 1), n)
     prefix, power = basis._prefixes.T
-    for t in range(1, basis.order + 1):
-        lo, hi = comb(basis.dim + t - 1, t - 1), comb(basis.dim + t, t)
+    for t in range(2, q + 1):
+        lo, hi = comb(d + t - 1, t - 1), comb(d + t, t)
         np.multiply(mono[prefix[lo:hi]], P[power[lo:hi]], out=mono[lo:hi])
     return mono
 

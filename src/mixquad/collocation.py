@@ -18,7 +18,7 @@ from math import ceil
 import numpy as np
 
 from . import benchmarks
-from .basis import EVAL_CHUNK, eval_basis_batch
+from .basis import EVAL_CHUNK, _monomials, _points, eval_basis_batch
 from .distribution import sample
 from .rules import Surrogate, numbers_from_lines
 
@@ -138,14 +138,15 @@ def project_columns(rule, basis, value_matrix):
 def evaluate_batch(s, xs):
     """Vectorized surrogate evaluation, one product per EVAL_CHUNK points.
 
-    The product with the coefficients stays per block: over the whole batch,
-    a threaded BLAS splits it at other rows, which moves the last bits.
+    The surrogate is one polynomial in the monomials, with coefficients
+    a = c C for the basis matrix C: each block of points takes one
+    matrix-vector product a @ mono with its monomial table.
     """
-    X = np.atleast_2d(np.asarray(xs, dtype=float))
+    X = _points(s.basis, xs)
+    a = s.coefficients @ s.basis.coeff_matrix
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], EVAL_CHUNK):
-        hi = min(lo + EVAL_CHUNK, X.shape[0])
-        out[lo:hi] = eval_basis_batch(s.basis, X[lo:hi]) @ s.coefficients
+        out[lo : lo + EVAL_CHUNK] = a @ _monomials(s.basis, X[lo : lo + EVAL_CHUNK])
     return out
 
 

@@ -57,7 +57,7 @@ class GaussianMixture:
     covariances: list
 
     def __post_init__(self):
-        w = np.asarray(self.mix_weights, dtype=float)
+        w = np.array(self.mix_weights, dtype=float)  # copies, made read-only below
         if w.ndim != 1 or w.size == 0:
             raise ValueError("mix_weights must be a nonempty vector")
         bad = np.flatnonzero(~np.isfinite(w))
@@ -67,8 +67,8 @@ class GaussianMixture:
             raise ValueError("mix_weights must be nonnegative")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
             raise ValueError(f"mix_weights sum to {w.sum()!r}, expected 1 within {WEIGHT_TOL:g}")
-        means = [np.asarray(m, dtype=float) for m in self.means]
-        covs = [np.asarray(S, dtype=float) for S in self.covariances]
+        means = [np.array(m, dtype=float) for m in self.means]
+        covs = [np.array(S, dtype=float) for S in self.covariances]
         if len(means) != w.size or len(covs) != w.size:
             raise ValueError(f"got {w.size} weights, {len(means)} means, {len(covs)} covariances")
         d = means[0].shape[0] if means[0].ndim == 1 else None

@@ -23,6 +23,7 @@ from .basis import _jacobian, _monomials, _one_blas_thread, _points, eval_basis_
 from .distribution import raw_moments, sample
 # perfbench/child.py reads rule_to_json and rule_from_json from this module
 from .rules import IncreasePhaseError, QuadratureRule, rule_from_json, rule_to_json  # noqa: F401
+from .rules import _nonempty_nodes
 
 __all__ = list(_SOLVER_NAMES)
 
@@ -93,14 +94,16 @@ def solve_weights(phi):
     -------
     (w, converged) : ndarray of shape (M,), bool
         converged is False only when the solver hits its iteration limit
-        (3 * M); w is then all zeros.
+        (30 * M); w is then all zeros.
 
     Raises
     ------
     ValueError
-        If phi holds a NaN or an infinity.
+        If phi is not a nonempty matrix, or holds a NaN or an infinity.
     """
     phi = np.asarray(phi, dtype=float)
+    if phi.ndim != 2 or 0 in phi.shape:
+        raise ValueError(f"phi must be a nonempty matrix, got shape {phi.shape}")
     try:
         return _lapack.nnls(phi, _unit_rhs(phi.shape[0]))[0], True
     except RuntimeError:
@@ -176,7 +179,7 @@ def gauss_newton_step(basis, nodes, w, r, lam, state=None):
     -------
     (nodes, lam, improved, state) with state the pair of the returned nodes.
     """
-    nodes = np.asarray(nodes, dtype=float)
+    nodes = _nonempty_nodes("gauss_newton_step", nodes)
     if state is None:
         state = _evaluate(basis, nodes)
     nrm = float(np.linalg.norm(r))
@@ -217,7 +220,7 @@ def bcd_solve(basis, start, cfg):
     -------
     QuadratureRule with converged set accordingly.
     """
-    nodes = np.atleast_2d(np.asarray(start, dtype=float))
+    nodes = _nonempty_nodes("bcd_solve", start)
     state = _evaluate(basis, nodes)
     lam = GN_DAMPING
     hist = []

@@ -43,6 +43,14 @@ class IncreasePhaseError(RuntimeError):
         )
 
 
+def _nonempty_nodes(caller, nodes):
+    """nodes as a 2-d float array, which must hold at least one node."""
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    if len(nodes) == 0:
+        raise ValueError(f"{caller} needs at least one node, got shape {nodes.shape}")
+    return nodes
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes, nonnegative weights, and the achieved exactness residual.
@@ -63,7 +71,7 @@ class QuadratureRule:
     seed: int = None
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", np.atleast_2d(np.asarray(self.nodes, dtype=float)))
+        object.__setattr__(self, "nodes", _nonempty_nodes("QuadratureRule", self.nodes))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.weights.shape != (self.nodes.shape[0],):
             raise ValueError("one weight per node required")
@@ -246,7 +254,8 @@ def surrogate_from_json(text):
         basis=_basis(obj["basis"]),
         coefficients=np.array(obj["coefficients"], dtype=float),
         rule_residual=float(obj["rule_residual"]),
-        meta=dict(obj["meta"]),
+        meta={"model": _typed(obj["meta"], "model", str),
+              "sample_count": _typed(obj["meta"], "sample_count", int)},
     ))
 
 

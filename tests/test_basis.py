@@ -345,9 +345,14 @@ class TestEvalBasis:
         blocks = [(basis.coeff_matrix @ _monomials(basis, X[lo : lo + EVAL_CHUNK])).T
                   for lo in range(0, len(X), EVAL_CHUNK)]
         assert np.array_equal(mq.eval_basis_batch(basis, X), np.concatenate(blocks))
+        # the surrogate is one polynomial in the monomials, a = c C, with one
+        # matrix-vector product per block
         c = np.random.default_rng(8).normal(size=basis.size)
         s = mq.Surrogate(basis=basis, coefficients=c, rule_residual=0.0)
-        assert np.array_equal(mq.evaluate_batch(s, X), np.concatenate([b @ c for b in blocks]))
+        a = c @ basis.coeff_matrix
+        values = [a @ _monomials(basis, X[lo : lo + EVAL_CHUNK])
+                  for lo in range(0, len(X), EVAL_CHUNK)]
+        assert np.array_equal(mq.evaluate_batch(s, X), np.concatenate(values))
 
 
 class TestOneBlasThread:

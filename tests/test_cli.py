@@ -622,6 +622,17 @@ class TestStatsCommand:
                               f"{gm4}, this run's mixture has {gm6}); rerun `mixquad surrogate`\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["surrogate.json"]
 
+    def test_surrogate_meta_of_another_type_is_rejected_by_name(self, gm4_p1, tmp_path, capsys):
+        obj = json.loads((gm4_p1 / "surrogate.json").read_text())
+        obj["meta"]["sample_count"] = "x"
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(obj))
+        code = main(["stats", "--config", "builtin:gm4", "--order", "1", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: sample_count must be of type int, got 'x'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["surrogate.json"]
+
     def test_failed_run_writes_no_artifact(self, cfg2, pipeline_out, tmp_path, monkeypatch,
                                            capsys):
         # the density fails after the statistics are computed: stats.json is not written either

@@ -10,6 +10,7 @@ from scipy.stats import gaussian_kde
 
 import mixquad as mq
 from mixquad import benchmarks
+from mixquad._lapack import blas_thread_controls
 from mixquad.collocation import EVAL_CHUNK
 
 
@@ -201,6 +202,39 @@ class TestEvaluateAndStatistics:
         out = mq.evaluate_batch(s, X)
         direct = mq.eval_basis_batch(basis_p, X) @ s.coefficients
         assert_allclose(out, direct, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("name", ["gm4", "gm6"])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_agrees_with_the_basis_values_block_by_block(self, name, p):
+        # the polynomial in the monomials rounds otherwise than the basis
+        # values times the coefficients, only in the last bits
+        gm = benchmarks.builtin_mixture(name)
+        basis = mq.gram_schmidt(mq.raw_moments(gm, 2 * p), gm.dim, p)
+        c = np.random.default_rng(p).normal(size=basis.size)
+        s = mq.Surrogate(basis=basis, coefficients=c, rule_residual=0.0)
+        X = mq.sample(gm, 2 * EVAL_CHUNK + 3, seed=p)
+        ref = np.concatenate([mq.eval_basis_batch(basis, X[lo : lo + EVAL_CHUNK]) @ c
+                              for lo in range(0, len(X), EVAL_CHUNK)])
+        assert np.abs(mq.evaluate_batch(s, X) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_same_bits_at_one_and_two_blas_threads(self):
+        gm = benchmarks.gm6()
+        basis = mq.gram_schmidt(mq.raw_moments(gm, 4), gm.dim, 2)
+        c = np.random.default_rng(30).normal(size=basis.size)
+        s = mq.Surrogate(basis=basis, coefficients=c, rule_residual=0.0)
+        X = mq.sample(gm, 3 * EVAL_CHUNK + 5, seed=30)
+        controls = blas_thread_controls()
+        before = [get() for get, _ in controls]
+        outputs = []
+        try:
+            for n in (1, 2):
+                for _, set_ in controls:
+                    set_(n)
+                outputs.append(mq.evaluate_batch(s, X))
+        finally:
+            for (_, set_), n in zip(controls, before):
+                set_(n)
+        assert np.array_equal(outputs[0], outputs[1])
 
     def test_variance_matches_monte_carlo(self, corr2d_setup):
         gm, basis_p, rule = corr2d_setup

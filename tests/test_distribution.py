@@ -130,6 +130,14 @@ class TestGaussianMixtureValidation:
         with pytest.raises(ValueError):
             gm.mix_weights[0] = 0.9
 
+    def test_caller_arrays_stay_writeable(self):
+        w, m, S = np.ones(1), np.zeros(2), np.eye(2)
+        gm = mq.GaussianMixture(w, [m], [S])
+        assert gm.means[0] is not m and gm.covariances[0] is not S and gm.mix_weights is not w
+        m[0], S[0, 1], w[0] = 1.0, 0.5, 0.5
+        assert gm.means[0][0] == 0.0 and gm.covariances[0][0, 1] == 0.0
+        assert gm.mix_weights[0] == 1.0
+
 
 class TestSample:
     def test_identity_case_matches_law_of_large_numbers(self):

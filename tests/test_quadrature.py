@@ -1,6 +1,8 @@
 """Weight solve, node moves, block coordinate descent, and node-count adaptation."""
 
 import importlib.machinery
+import subprocess
+import sys
 from dataclasses import replace
 from math import ceil, comb
 from types import SimpleNamespace
@@ -220,6 +222,36 @@ def test_stacked_jacobian_is_the_weighted_per_node_jacobians():
         assert np.array_equal(mq.stacked_jacobian(basis, nodes, w), expect)
 
 
+# an order-2 basis in d = 2 and a residual on it, for the calls below
+DEGENERATE_SETUP = (
+    "import numpy as np, mixquad as mq\n"
+    "from mixquad import quadrature\n"
+    "gm = mq.GaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)])\n"
+    "basis = mq.gram_schmidt(mq.raw_moments(gm, 4), 2, 2)\n"
+    "r = np.ones(basis.size)\n"
+)
+
+
+@pytest.mark.parametrize("call, message", [
+    ("mq.solve_weights(np.empty((6, 0)))", "phi must be a nonempty matrix, got shape (6, 0)"),
+    ("mq.solve_weights(np.empty((0, 3)))", "phi must be a nonempty matrix, got shape (0, 3)"),
+    ("mq.solve_weights(np.ones(3))", "phi must be a nonempty matrix, got shape (3,)"),
+    ("mq.bcd_solve(basis, np.empty((0, 2)), mq.SolverConfig())",
+     "bcd_solve needs at least one node, got shape (0, 2)"),
+    ("quadrature.gauss_newton_step(basis, np.empty((0, 2)), np.empty(0), r, 1e-6)",
+     "gauss_newton_step needs at least one node, got shape (0, 2)"),
+    ("mq.QuadratureRule(np.empty((0, 2)), np.empty(0), 0.0, 2)",
+     "QuadratureRule needs at least one node, got shape (0, 2)"),
+], ids=["no-columns", "no-rows", "vector", "bcd_solve", "gauss_newton_step", "QuadratureRule"])
+def test_degenerate_calls_fail_by_name_not_by_signal(call, message):
+    # each in its own interpreter, since a compiled routine given an empty
+    # matrix can abort the process
+    proc = subprocess.run([sys.executable, "-c", DEGENERATE_SETUP + call],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.rstrip().endswith(f"ValueError: {message}")
+
+
 class TestGaussNewtonStep:
     def test_zero_residual_leaves_nodes_unchanged(self, hermite2):
         nodes = np.array([[-1.0], [1.0]])
@@ -421,11 +453,24 @@ class TestLapackRoutes:
             return np.ones(A.shape[1]), 0.0, 3
 
         monkeypatch.setattr(_lapack, "_nnls_extension", lambda: SimpleNamespace(nnls=limited))
-        monkeypatch.setattr(_lapack, "nnls", _lapack._nnls())
+        monkeypatch.setattr(_lapack, "_route", _lapack._nnls())
         w, ok = mq.solve_weights(np.ones((4, 7)))
         assert not ok
         assert np.array_equal(w, np.zeros(7))
-        assert calls == [21]
+        assert calls == [210]
+
+    def test_public_nnls_gets_the_same_iteration_limit(self, monkeypatch):
+        calls = []
+
+        def public_nnls(A, b, *, maxiter=None):
+            calls.append(maxiter)
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(_lapack, "_nnls_extension", lambda: None)
+        monkeypatch.setattr("scipy.optimize.nnls", public_nnls)
+        monkeypatch.setattr(_lapack, "_route", _lapack._nnls())
+        assert mq.solve_weights(np.ones((4, 7)))[1] is False
+        assert calls == [210]
 
     @staticmethod
     def _missing(name):

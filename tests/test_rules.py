@@ -121,6 +121,21 @@ def test_typed_field_of_another_json_type_is_rejected_by_name(kind, key, bad):
         read(_dumps(obj))
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("model", 3),
+    ("model", None),
+    ("sample_count", "x"),
+    ("sample_count", 7.0),
+    ("sample_count", True),
+])
+def test_surrogate_meta_field_of_another_json_type_is_rejected_by_name(key, bad):
+    # so a document that reads back can always be written again
+    obj = json.loads(mq.surrogate_to_json(surrogate()))
+    obj["meta"][key] = bad
+    with pytest.raises(ValueError, match=f"^{key} must be of type "):
+        mq.surrogate_from_json(_dumps(obj))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-12])
 def test_rule_and_surrogate_reject_a_bad_residual(bad):
     r, s = rule(), surrogate()
