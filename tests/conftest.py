@@ -13,12 +13,12 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PY
 
 @pytest.fixture(params=["direct", "scipy"])
 def nnls_route(request, monkeypatch):
-    """mixquad._lapack.nnls bound by one route, and installed for the test.
+    """mixquad._lapack.nnls on one route, installed for the test.
 
     "direct" calls scipy's compiled NNLS extension; "scipy" is the route of
     a build without it, scipy.optimize.nnls, forced by a probe that finds
-    nothing. The routine replaces the module's own for the test, so the
-    solver runs on it too.
+    nothing. The route replaces the module's own for the test, so the
+    solver runs on it too, with the module's iteration limit.
     """
     from mixquad import _lapack
 
@@ -26,5 +26,5 @@ def nnls_route(request, monkeypatch):
         monkeypatch.setattr(_lapack, "_nnls_extension", lambda: None)
     elif _lapack._nnls_extension() is None:
         pytest.skip("this scipy build has no NNLS extension")
-    monkeypatch.setattr(_lapack, "nnls", _lapack._nnls())
+    monkeypatch.setattr(_lapack, "_route", _lapack._nnls())
     return _lapack.nnls
