@@ -5,7 +5,9 @@ simulator can be inserted at the nodes-to-values boundary: `quadrature`
 writes nodes.csv, the simulator produces a values file, and `surrogate
 --values` picks it up. Diagnostics go to standard error; artifacts are
 files only. Every command is deterministic given its flags, including the
-seed, and rewrites byte-identical artifacts on rerun.
+seed, and rewrites byte-identical artifacts on rerun. A stage imports the
+solver (scipy's compiled modules) and collocation (the model adapters) where
+it uses them, so that the other stages never load them.
 """
 
 import argparse
@@ -16,16 +18,6 @@ import numpy as np
 
 from . import benchmarks, rules
 from .basis import gram_schmidt
-from .collocation import (
-    MIN_DENSITY_SAMPLES,
-    AdapterError,
-    ModelAdapter,
-    _check_exactness,
-    density_estimate,
-    evaluate_model,
-    project,
-    statistics,
-)
 from .distribution import raw_moments, sample
 
 
@@ -97,7 +89,6 @@ def _stage_basis(path, gm, q):
 
 
 def cmd_quadrature(args, gm, out):
-    # imported here so that the stages that only read artifacts never load scipy
     from .quadrature import SolverConfig, adaptive_rule
 
     basis_2p = _stage_basis(out / "basis_2p.json", gm, 2 * args.order)
@@ -113,6 +104,8 @@ def cmd_quadrature(args, gm, out):
 
 
 def cmd_surrogate(args, gm, out):
+    from .collocation import _check_exactness, evaluate_model, project, statistics
+
     p = args.order
     rule = _read(out / "rule.json", rules.rule_from_json, gm, "quadrature")
     _check_exactness(rule, p)
@@ -134,6 +127,8 @@ def cmd_surrogate(args, gm, out):
 
 
 def cmd_stats(args, gm, out):
+    from .collocation import density_estimate, statistics
+
     surr = _read(out / "surrogate.json", rules.surrogate_from_json, gm, "surrogate")
     mean, variance, std = statistics(surr)
     dens = density_estimate(surr, gm, args.n_samples, args.seed, n_bins=args.bins)
@@ -166,12 +161,21 @@ def _at_least(low):
 
 
 def _builtin_model(text):
+    from .collocation import ModelAdapter
+
     if not text.startswith("builtin:"):
         raise argparse.ArgumentTypeError(f"expects builtin:<name>, got {text!r}")
     try:
         return ModelAdapter.builtin(text.split(":", 1)[1])
-    except AdapterError as exc:
+    except rules.AdapterError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _adapter(build):
+    def parse(text):
+        from .collocation import ModelAdapter
+        return getattr(ModelAdapter, build)(text)
+    return parse
 
 
 def _tolerance(text):
@@ -215,14 +219,15 @@ def build_parser():
     adapter = p_surr.add_mutually_exclusive_group(required=True)
     adapter.add_argument("--model", dest="adapter", type=_builtin_model, metavar="builtin:NAME",
                          help="builtin model, e.g. builtin:ro6")
-    adapter.add_argument("--values", dest="adapter", type=ModelAdapter.batch_file,
+    adapter.add_argument("--values", dest="adapter", type=_adapter("batch_file"),
                          metavar="PATH", help="values CSV produced externally (one real per line)")
-    adapter.add_argument("--model-cmd", dest="adapter", type=ModelAdapter.command, metavar="CMD",
+    adapter.add_argument("--model-cmd", dest="adapter", type=_adapter("command"), metavar="CMD",
                          help="command evaluating one node per stdin line")
 
     p_stats = sub.add_parser("stats", parents=[shared],
                              help="surrogate statistics and output density tables")
-    p_stats.add_argument("--n-samples", type=_at_least(MIN_DENSITY_SAMPLES), default=100_000,
+    p_stats.add_argument("--n-samples", type=_at_least(rules.MIN_DENSITY_SAMPLES),
+                         default=100_000,
                          help="surrogate sample count for the density (default 1e5)")
     p_stats.add_argument("--bins", type=_at_least(1), default=60,
                          help="histogram bins (default 60)")
@@ -247,10 +252,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return HANDLERS[args.command](args, _load_mixture(args.config), Path(args.out))
-    except (ValueError, AdapterError, rules.IncreasePhaseError, OSError) as exc:
+    except (ValueError, rules.AdapterError, rules.IncreasePhaseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -8,8 +8,6 @@ small adapter: builtin analytic benchmarks, a file exchange for external
 batch simulators, or a line-oriented subprocess protocol.
 """
 
-import shlex
-import subprocess
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -17,29 +15,12 @@ from math import ceil
 
 import numpy as np
 
-from . import benchmarks
+from . import _LAZY, benchmarks
 from .basis import EVAL_CHUNK, _monomials, _points, eval_basis_batch
 from .distribution import sample
-from .rules import Surrogate, numbers_from_lines
+from .rules import MIN_DENSITY_SAMPLES, AdapterError, Surrogate, numbers_from_lines
 
-__all__ = [
-    "ModelAdapter",
-    "AdapterError",
-    "DensityEstimate",
-    "project",
-    "project_columns",
-    "evaluate_batch",
-    "statistics",
-    "density_estimate",
-    "evaluate_model",
-]
-
-# fewest surrogate samples density_estimate accepts
-MIN_DENSITY_SAMPLES = 10 ** 3
-
-
-class AdapterError(RuntimeError):
-    """Model evaluation through an adapter failed; message carries context."""
+__all__ = list(_LAZY["collocation"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,6 +257,10 @@ def _eval_batch_file(path, nodes):
 
 
 def _eval_subprocess(cmd, nodes):
+    # imported here so that a process running no model command does not load them
+    import shlex
+    import subprocess
+
     lines = "".join(" ".join(map(str, row)) + "\n" for row in nodes.tolist())
     try:
         argv = shlex.split(cmd)

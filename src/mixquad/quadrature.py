@@ -18,14 +18,14 @@ from math import ceil, comb
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from . import _SOLVER_NAMES, _lapack
+from . import _LAZY, _lapack
 from .basis import _jacobian, _monomials, _one_blas_thread, _points, eval_basis_batch
 from .distribution import raw_moments, sample
 # perfbench/child.py reads rule_to_json and rule_from_json from this module
 from .rules import IncreasePhaseError, QuadratureRule, rule_from_json, rule_to_json  # noqa: F401
 from .rules import _nonempty_nodes
 
-__all__ = list(_SOLVER_NAMES)
+__all__ = list(_LAZY["quadrature"])
 
 # consecutive failed Gauss-Newton moves before an early non-converged exit;
 # by then lambda has grown by 10^10 and the step is numerically dead
@@ -59,6 +59,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.residual_tol < np.inf:
             raise ValueError(f"residual_tol must be finite and > 0, got {self.residual_tol!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 

@@ -1,4 +1,4 @@
-"""Rules and surrogates as data, the solver's error, and every file format.
+"""Rules and surrogates as data, the solver's and the adapters' errors, and every file format.
 
 In numpy only, so that reading an artifact loads neither solver nor scipy.
 Arrays enter JSON and CSV through ndarray.tolist(), as Python floats that
@@ -14,12 +14,15 @@ import numpy as np
 from .basis import OrthoBasis, _check_residual
 from .distribution import GaussianMixture
 
-__all__ = ["QuadratureRule", "Surrogate", "IncreasePhaseError", "mixture_to_json",
-           "mixture_from_json", "basis_to_json", "basis_from_json", "rule_to_json",
-           "rule_from_json", "surrogate_to_json", "surrogate_from_json", "nodes_to_csv"]
+__all__ = ["QuadratureRule", "Surrogate", "IncreasePhaseError", "AdapterError",
+           "mixture_to_json", "mixture_from_json", "basis_to_json", "basis_from_json",
+           "rule_to_json", "rule_from_json", "surrogate_to_json", "surrogate_from_json",
+           "nodes_to_csv"]
 
 # how stamped writes the last field of a document, up to its 64 hex digits
 _STAMP = ',\n  "mixture_sha256": "'
+# fewest surrogate samples collocation.density_estimate accepts, and `stats --n-samples`
+MIN_DENSITY_SAMPLES = 10 ** 3
 
 
 class IncreasePhaseError(RuntimeError):
@@ -43,11 +46,18 @@ class IncreasePhaseError(RuntimeError):
         )
 
 
+class AdapterError(RuntimeError):
+    """Model evaluation through a collocation.ModelAdapter failed; message carries context."""
+
+
 def _nonempty_nodes(caller, nodes):
-    """nodes as a 2-d float array, which must hold at least one node."""
+    """nodes as a 2-d float array, which must hold at least one node, all finite."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     if len(nodes) == 0:
         raise ValueError(f"{caller} needs at least one node, got shape {nodes.shape}")
+    if not np.isfinite(nodes).all():
+        k, i = np.argwhere(~np.isfinite(nodes))[0]
+        raise ValueError(f"nodes must be finite; {caller} got {float(nodes[k, i])!r} at node {k}")
     return nodes
 
 
@@ -75,8 +85,6 @@ class QuadratureRule:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.weights.shape != (self.nodes.shape[0],):
             raise ValueError("one weight per node required")
-        if not np.isfinite(self.nodes).all():
-            raise ValueError("nodes must be finite")
         if not (np.isfinite(self.weights).all() and (self.weights >= 0).all()):
             raise ValueError("weights must be finite and nonnegative, exactly")
         _check_residual("residual_norm", self.residual_norm)

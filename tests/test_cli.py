@@ -1,9 +1,12 @@
 """End-to-end command-line pipeline: artifacts, determinism, exit codes."""
 
 import collections
+import contextlib
+import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from math import sqrt
@@ -482,6 +485,30 @@ class TestBasisReuse:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("stage, loaded", [
+        ("basis", []),
+        ("quadrature", []),
+        ("surrogate", ["mixquad.collocation"]),
+        ("stats", ["mixquad.collocation"]),
+        ("sample", []),
+    ])
+    def test_each_stage_loads_collocation_and_subprocess_only_if_it_uses_them(
+            self, gm4_p1, tmp_path, stage, loaded):
+        # the model adapters load collocation, and only --model-cmd spawns a process
+        for name in ("basis_2p.json", "rule.json", "basis_p.json", "surrogate.json"):
+            (tmp_path / name).write_bytes((gm4_p1 / name).read_bytes())
+        extra = {"surrogate": ["--model", "builtin:filter4"], "sample": ["--n", "10"]}
+        argv = [stage, "--config", "builtin:gm4", "--order", "1", "--out", str(tmp_path),
+                *extra.get(stage, [])]
+        code = (
+            "import sys; from mixquad.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted({'mixquad.collocation', 'subprocess'} & set(sys.modules)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr(loaded)
+
 
     @pytest.mark.parametrize("stage", ["basis", "quadrature"])
     def test_solver_stages_load_no_scipy_package(self, tmp_path, stage):
@@ -641,7 +668,7 @@ class TestStatsCommand:
         def failing_density(*args, **kwargs):
             raise ValueError("density failed")
 
-        monkeypatch.setattr("mixquad.cli.density_estimate", failing_density)
+        monkeypatch.setattr("mixquad.collocation.density_estimate", failing_density)
         code = main(["stats", "--config", str(cfg2), "--out", str(tmp_path)])
         assert code == 1 and "density failed" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["surrogate.json"]
@@ -668,6 +695,51 @@ class TestSampleCommand:
         assert res.returncode == 2
         assert "argument --n: must be an integer >= 0, got '-3'" in res.stderr
         assert not any(tmp_path.iterdir())
+
+
+def console_script():
+    """The command that runs pyproject.toml's `mixquad` console script, as its wrapper does."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, function = re.search(r'^mixquad = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return [sys.executable, "-c",
+            f"import sys; from {module} import {function}; sys.exit({function}())"]
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("entry", [[sys.executable, "-m", "mixquad"], console_script()],
+                             ids=["python-m", "console-script"])
+    @pytest.mark.parametrize("args, code, start", [
+        (["--config", "missing.json", "--n", "1"], 1, "error: "),
+        (["--config", "builtin:gm4", "--n", "-1"], 2, "usage: "),
+    ], ids=["error", "usage-error"])
+    def test_exit_code_is_mains(self, tmp_path, monkeypatch, capsys, entry, args, code, start):
+        monkeypatch.chdir(tmp_path)
+        argv = ["sample", *args]
+        with pytest.raises(SystemExit) if code == 2 else contextlib.nullcontext():
+            assert main(argv) == code
+        assert capsys.readouterr().err.startswith(start)
+        proc = subprocess.run([*entry, *argv], capture_output=True, text=True)
+        assert proc.returncode == code
+        assert proc.stderr.startswith(start)
+        assert not any(tmp_path.iterdir())
+
+    def test_main_leaves_the_collector_unfrozen(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["sample", "--config", "builtin:gm4", "--out", str(tmp_path), "--n", "3"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_entry_point_freezes_the_collector_then_exits_with_mains_code(self, monkeypatch):
+        from mixquad import __main__ as entry
+
+        monkeypatch.setattr(entry, "main", lambda: 1)
+        before = gc.get_freeze_count()
+        try:
+            with pytest.raises(SystemExit) as info:
+                entry.run()
+            assert info.value.code == 1
+            assert gc.get_freeze_count() > before
+        finally:
+            gc.unfreeze()
 
 
 class TestParser:

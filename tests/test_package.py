@@ -26,6 +26,17 @@ def test_solver_loads_on_first_use_of_its_names():
     assert proc.stdout.strip() == "False True"
 
 
+def test_collocation_loads_on_first_use_of_its_names():
+    code = (
+        "import sys, mixquad as mq\n"
+        "before = {'mixquad.collocation', 'subprocess'} & set(sys.modules)\n"
+        "mq.project\n"
+        "print(sorted(before), sorted({'mixquad.collocation', 'subprocess'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[] ['mixquad.collocation']"
+
+
 def _skip_without_nnls_extension():
     from mixquad import _lapack
 
@@ -72,7 +83,9 @@ def test_every_public_name_is_the_object_of_its_defining_module():
 
 
 def test_lazily_loaded_names_are_the_solver_modules_all():
-    assert quadrature.__all__ == list(mq._SOLVER_NAMES)
+    assert list(mq._LAZY) == ["quadrature", "collocation"]
+    assert quadrature.__all__ == list(mq._LAZY["quadrature"])
+    assert collocation.__all__ == list(mq._LAZY["collocation"])
 
 
 def test_public_surface_is_pinned():

@@ -222,13 +222,15 @@ def test_stacked_jacobian_is_the_weighted_per_node_jacobians():
         assert np.array_equal(mq.stacked_jacobian(basis, nodes, w), expect)
 
 
-# an order-2 basis in d = 2 and a residual on it, for the calls below
+# an order-2 basis in d = 2, a residual on it, and two node sets whose second
+# node is not finite, for the calls below
 DEGENERATE_SETUP = (
     "import numpy as np, mixquad as mq\n"
     "from mixquad import quadrature\n"
     "gm = mq.GaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)])\n"
     "basis = mq.gram_schmidt(mq.raw_moments(gm, 4), 2, 2)\n"
     "r = np.ones(basis.size)\n"
+    "nan_nodes, inf_nodes = (np.array([[0.0, 0.0], [bad, 1.0]]) for bad in (np.nan, np.inf))\n"
 )
 
 
@@ -242,7 +244,21 @@ DEGENERATE_SETUP = (
      "gauss_newton_step needs at least one node, got shape (0, 2)"),
     ("mq.QuadratureRule(np.empty((0, 2)), np.empty(0), 0.0, 2)",
      "QuadratureRule needs at least one node, got shape (0, 2)"),
-], ids=["no-columns", "no-rows", "vector", "bcd_solve", "gauss_newton_step", "QuadratureRule"])
+    ("mq.bcd_solve(basis, nan_nodes, mq.SolverConfig())",
+     "nodes must be finite; bcd_solve got nan at node 1"),
+    ("mq.bcd_solve(basis, inf_nodes, mq.SolverConfig())",
+     "nodes must be finite; bcd_solve got inf at node 1"),
+    ("quadrature.gauss_newton_step(basis, nan_nodes, np.ones(2), r, 1e-6)",
+     "nodes must be finite; gauss_newton_step got nan at node 1"),
+    ("quadrature.gauss_newton_step(basis, inf_nodes, np.ones(2), r, 1e-6)",
+     "nodes must be finite; gauss_newton_step got inf at node 1"),
+    ("mq.QuadratureRule(nan_nodes, np.ones(2), 0.0, 2)",
+     "nodes must be finite; QuadratureRule got nan at node 1"),
+    ("mq.QuadratureRule(inf_nodes, np.ones(2), 0.0, 2)",
+     "nodes must be finite; QuadratureRule got inf at node 1"),
+], ids=["no-columns", "no-rows", "vector", "bcd_solve", "gauss_newton_step", "QuadratureRule",
+        "bcd_solve-nan", "bcd_solve-inf", "gauss_newton_step-nan", "gauss_newton_step-inf",
+        "QuadratureRule-nan", "QuadratureRule-inf"])
 def test_degenerate_calls_fail_by_name_not_by_signal(call, message):
     # each in its own interpreter, since a compiled routine given an empty
     # matrix can abort the process
@@ -442,7 +458,7 @@ class TestLapackRoutes:
             flapack, nnls_routine = _lapack._compiled("linalg._flapack"), _lapack._nnls()
         assert imported == ["scipy.linalg._flapack", "scipy.optimize._slsqplib"]
         monkeypatch.setattr(_lapack, "_flapack", flapack)
-        monkeypatch.setattr(_lapack, "nnls", nnls_routine)
+        monkeypatch.setattr(_lapack, "_route", nnls_routine)
         assert [route_rule(gm, order) for gm, order in ROUTE_CASES] == import_route_rules
 
     def test_direct_nnls_reports_its_iteration_limit(self, monkeypatch):
@@ -1085,6 +1101,14 @@ class TestSolverConfig:
     def test_seed_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             mq.SolverConfig(seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, "2", True], ids=["float", "str", "bool"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            mq.SolverConfig(seed=seed)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        assert mq.SolverConfig(seed=np.int64(3)).seed == 3
 
 
 class TestRuleValidationAndSerialization:
