@@ -46,7 +46,6 @@ from numpy.linalg import LinAlgError
 __all__ = ["dpotrf", "dpotrs", "solve_triangular", "nnls", "blas_thread_controls"]
 
 
-@cache
 def _bundled_openblas(package):
     """The OpenBLAS copies a package's wheel ships in <package>.libs, loaded, in name order."""
     spec = importlib.util.find_spec(package)

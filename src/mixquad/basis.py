@@ -340,8 +340,6 @@ def eval_basis_batch(basis, xs):
     ndarray, shape (n, N) with entry (s, j) = Psi_j(xs[s]).
     """
     X = _points(basis, xs)
-    if len(X) <= EVAL_CHUNK:
-        return (basis.coeff_matrix @ _monomials(basis, X)).T
     out = np.empty((basis.size, len(X)))
     for lo in range(0, len(X), EVAL_CHUNK):
         mono = _monomials(basis, X[lo : lo + EVAL_CHUNK])

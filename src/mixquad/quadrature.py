@@ -14,16 +14,18 @@ in the compiled code of scipy's wheel, called through _lapack.
 
 from dataclasses import dataclass
 from math import ceil, comb
+from numbers import Real
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import _LAZY, _lapack
-from .basis import _jacobian, _monomials, _one_blas_thread, _points, eval_basis_batch
+from .basis import _check_residual, _jacobian, _monomials, _one_blas_thread, _points
+from .basis import eval_basis_batch
 from .distribution import raw_moments, sample
 # perfbench/child.py reads rule_to_json and rule_from_json from this module
 from .rules import IncreasePhaseError, QuadratureRule, rule_from_json, rule_to_json  # noqa: F401
-from .rules import _nonempty_nodes
+from .rules import _nonempty_nodes, _nonnegative_int
 
 __all__ = list(_LAZY["quadrature"])
 
@@ -57,12 +59,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.residual_tol, bool) or not isinstance(self.residual_tol, Real):
+            raise ValueError(f"residual_tol must be a real number, got {self.residual_tol!r}")
         if not 0 < self.residual_tol < np.inf:
             raise ValueError(f"residual_tol must be finite and > 0, got {self.residual_tol!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        _nonnegative_int("seed", self.seed)
 
 
 def assemble_phi(basis, nodes):
@@ -124,6 +125,8 @@ def stacked_jacobian(basis, nodes, w):
 def _stack_blocks(jall, w):
     """The stacked Jacobian from per-node Jacobians jall of shape (N, dim, M)."""
     N, d, M = jall.shape
+    if np.shape(w) != (M,):
+        raise ValueError(f"w has shape {np.shape(w)}, one weight per node needs ({M},)")
     J = jall.transpose(0, 2, 1).reshape(N, M * d)
     J.reshape(N, M, d)[...] *= w[None, :, None]
     return J
@@ -182,6 +185,9 @@ def gauss_newton_step(basis, nodes, w, r, lam, state=None):
     (nodes, lam, improved, state) with state the pair of the returned nodes.
     """
     nodes = _nonempty_nodes("gauss_newton_step", nodes)
+    if np.shape(r) != (basis.size,):
+        raise ValueError(f"r has shape {np.shape(r)}, basis has {basis.size} functions")
+    _check_residual("lam", lam)
     if state is None:
         state = _evaluate(basis, nodes)
     nrm = float(np.linalg.norm(r))
@@ -335,9 +341,7 @@ def _complete_linkage(X):
 
     pairs = np.empty((n - 1, 2), dtype=np.intp)
     heights = np.empty(n - 1, dtype=np.float32)
-    # the rows of the chain's tip and of the element below it, which is
-    # current when no merge came after the tip was pushed
-    tip, below, current = np.empty(n, np.float32), np.empty(n, np.float32), False
+    tip, row = np.empty(n, np.float32), np.empty(n, np.float32)
     chain, dead, low = [], np.zeros(n, dtype=bool), 0
     for k in range(n - 1):
         if not chain:
@@ -352,18 +356,15 @@ def _complete_linkage(X):
                 y = chain[-2]
                 break
             chain.append(y)
-            tip, below, current = below, tip, True
         del chain[-2:]
         a, b = (x, y) if x < y else (y, x)
         pairs[k] = a, b
         heights[k] = tip[y]
-        if not current:
-            gather(y, below)
-        scatter(b, np.maximum(tip, below, out=tip))
+        gather(y, row)
+        scatter(b, np.maximum(tip, row, out=tip))
         tip.fill(np.inf)
         scatter(a, tip)
         dead[a] = True
-        current = False
     return pairs[np.argsort(heights, kind="stable")]
 
 

@@ -61,6 +61,14 @@ def _nonempty_nodes(caller, nodes):
     return nodes
 
 
+def _nonnegative_int(name, value):
+    """Raise a ValueError naming name unless value is an int or numpy integer >= 0, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes, nonnegative weights, and the achieved exactness residual.
@@ -88,6 +96,7 @@ class QuadratureRule:
         if not (np.isfinite(self.weights).all() and (self.weights >= 0).all()):
             raise ValueError("weights must be finite and nonnegative, exactly")
         _check_residual("residual_norm", self.residual_norm)
+        _nonnegative_int("basis_order", self.basis_order)
 
     @property
     def n_nodes(self):

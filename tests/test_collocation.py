@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from functools import cache
 
 import numpy as np
 import pytest
@@ -129,17 +130,25 @@ class TestProject:
         assert s.meta == {"model": "ones", "sample_count": rule.n_nodes}
 
 
+@cache
+def builtin_case(name):
+    """(gm, basis_2p, basis_p, rule): builtin mixture name and its seed-0 p=2 rule, built once."""
+    gm = benchmarks.builtin_mixture(name)
+    mom = mq.raw_moments(gm, 8)
+    basis_2p = mq.gram_schmidt(mom, gm.dim, 4)
+    rule = mq.adaptive_rule(basis_2p, gm, mq.SolverConfig(seed=0))
+    return gm, basis_2p, mq.gram_schmidt(mom, gm.dim, 2), rule
+
+
 @pytest.fixture(scope="module", params=["gm4", "gm6", "corr2d"])
 def projection_case(request, corr2d_setup):
     """(basis_p, rule, y): a benchmark model at its mixture's p=2 rule, or corr2d."""
     if request.param == "corr2d":
         _, basis_p, rule = corr2d_setup
         return basis_p, rule, np.sin(rule.nodes @ [1.0, -2.0])
-    gm = benchmarks.builtin_mixture(request.param)
-    mom = mq.raw_moments(gm, 8)
-    rule = mq.adaptive_rule(mq.gram_schmidt(mom, gm.dim, 4), gm, mq.SolverConfig(seed=0))
+    _, _, basis_p, rule = builtin_case(request.param)
     model = benchmarks.builtin_model("ro6" if request.param == "gm6" else "filter4")
-    return mq.gram_schmidt(mom, gm.dim, 2), rule, model(rule.nodes)
+    return basis_p, rule, model(rule.nodes)
 
 
 def test_project_is_the_one_column_case_of_project_columns(projection_case):
@@ -149,6 +158,54 @@ def test_project_is_the_one_column_case_of_project_columns(projection_case):
     direct = mq.eval_basis_batch(basis_p, rule.nodes).T @ (rule.weights * y)
     assert np.array_equal(c, direct)
     assert np.array_equal(c, mq.project_columns(rule, basis_p, y[:, None])[0])
+
+
+def gauss_hermite_union(gm, q):
+    """Nodes and weights of one tensor Gauss-Hermite rule per component, q points per axis.
+
+    hermegauss integrates against exp(-z^2 / 2); component k's nodes are
+    mu_k + L_k z, with L_k the Cholesky factor of its covariance, and its
+    weights pi_k prod_i w_i / (2 pi)^(d / 2). The union is exact for every
+    polynomial of degree <= 2 q - 1 in each coordinate.
+    """
+    z, w = np.polynomial.hermite_e.hermegauss(q)
+    d = gm.dim
+    grid = np.indices((q,) * d).reshape(d, -1).T
+    Z, W = z[grid], w[grid].prod(axis=1) / (2 * np.pi) ** (d / 2)
+    nodes = np.concatenate([mu + Z @ np.linalg.cholesky(S).T
+                            for mu, S in zip(gm.means, gm.covariances)])
+    return nodes, np.concatenate([pi * W for pi in gm.mix_weights])
+
+
+def reference_projection(gm, basis, model, q):
+    """c* = sum W y Psi over gauss_hermite_union(gm, q): the projection up to rounding."""
+    X, W = gauss_hermite_union(gm, q)
+    return mq.eval_basis_batch(basis, X).T @ (W * model(X))
+
+
+@pytest.mark.parametrize("name, model_name, per_axis, floor", [
+    ("gm4", "filter4", (8, 10), "0.50%"),
+    ("gm6", "ro6", (5, 6), "0.34%"),
+])
+def test_exact_projection_reference(name, model_name, per_axis, floor, capfd):
+    # the std error that criterion 7's draw (seed 2024, 10^5 samples) leaves
+    # to an exact projection, below which no rule's error can be read
+    gm, basis_2p, basis_p, rule = builtin_case(name)
+    model = benchmarks.builtin_model(model_name)
+    X, W = gauss_hermite_union(gm, per_axis[0])
+    assert mq.residual(mq.assemble_phi(basis_2p, X), W)[1] <= 1e-12
+    coarse, exact = (reference_projection(gm, basis_p, model, q) for q in per_axis)
+    assert np.linalg.norm(coarse - exact) <= 1e-5 * np.linalg.norm(exact)
+    y_mc = model(mq.sample(gm, 10 ** 5, 2024))
+    std_exact = np.sqrt(np.sum(exact[1:] ** 2))
+    std_floor = abs(std_exact - y_mc.std()) / y_mc.std()
+    assert f"{std_floor:.2%}" == floor
+    surr = mq.project(rule, basis_p, model(rule.nodes))
+    err = np.linalg.norm(surr.coefficients - exact) / np.linalg.norm(exact)
+    with capfd.disabled():
+        print(f"\n{model_name}: std floor {std_floor:.4%}; rule of {rule.n_nodes} nodes: "
+              f"||c - c*|| / ||c*|| = {err:.2e}, std {mq.statistics(surr)[2]:.6g} against "
+              f"c*'s {std_exact:.6g}", flush=True)
 
 
 class TestProjectColumns:

@@ -231,6 +231,7 @@ DEGENERATE_SETUP = (
     "basis = mq.gram_schmidt(mq.raw_moments(gm, 4), 2, 2)\n"
     "r = np.ones(basis.size)\n"
     "nan_nodes, inf_nodes = (np.array([[0.0, 0.0], [bad, 1.0]]) for bad in (np.nan, np.inf))\n"
+    "nodes = np.array([[0.0, 0.0], [1.0, 1.0]])\n"
 )
 
 
@@ -256,9 +257,23 @@ DEGENERATE_SETUP = (
      "nodes must be finite; QuadratureRule got nan at node 1"),
     ("mq.QuadratureRule(inf_nodes, np.ones(2), 0.0, 2)",
      "nodes must be finite; QuadratureRule got inf at node 1"),
+    ("quadrature.gauss_newton_step(basis, nodes, np.ones(3), r, 1e-6)",
+     "w has shape (3,), one weight per node needs (2,)"),
+    ("quadrature.gauss_newton_step(basis, nodes, np.ones(2), np.ones(3), 1e-6)",
+     "r has shape (3,), basis has 6 functions"),
+    ("quadrature.gauss_newton_step(basis, nodes, np.ones(2), r, -1.0)",
+     "lam must be finite and nonnegative, got -1.0"),
+    ("quadrature.gauss_newton_step(basis, nodes, np.ones(2), r, np.inf)",
+     "lam must be finite and nonnegative, got inf"),
+    ("quadrature.gauss_newton_step(basis, nodes, np.ones(2), r, np.nan)",
+     "lam must be finite and nonnegative, got nan"),
+    ("mq.stacked_jacobian(basis, nodes, np.ones(3))",
+     "w has shape (3,), one weight per node needs (2,)"),
 ], ids=["no-columns", "no-rows", "vector", "bcd_solve", "gauss_newton_step", "QuadratureRule",
         "bcd_solve-nan", "bcd_solve-inf", "gauss_newton_step-nan", "gauss_newton_step-inf",
-        "QuadratureRule-nan", "QuadratureRule-inf"])
+        "QuadratureRule-nan", "QuadratureRule-inf", "gauss_newton_step-w", "gauss_newton_step-r",
+        "gauss_newton_step-lam-negative", "gauss_newton_step-lam-inf", "gauss_newton_step-lam-nan",
+        "stacked_jacobian-w"])
 def test_degenerate_calls_fail_by_name_not_by_signal(call, message):
     # each in its own interpreter, since a compiled routine given an empty
     # matrix can abort the process
@@ -1107,8 +1122,16 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
             mq.SolverConfig(seed=seed)
 
+    @pytest.mark.parametrize("tol", ["1", None, True], ids=["str", "none", "bool"])
+    def test_tolerance_must_be_a_real_number(self, tol):
+        with pytest.raises(ValueError, match=f"residual_tol must be a real number, got {tol!r}"):
+            mq.SolverConfig(residual_tol=tol)
+
     def test_numpy_integer_seed_is_accepted(self):
         assert mq.SolverConfig(seed=np.int64(3)).seed == 3
+
+    def test_numpy_float_tolerance_is_accepted(self):
+        assert mq.SolverConfig(residual_tol=np.float32(1e-6)).residual_tol == np.float32(1e-6)
 
 
 class TestRuleValidationAndSerialization:
@@ -1120,6 +1143,16 @@ class TestRuleValidationAndSerialization:
                 residual_norm=0.0,
                 basis_order=2,
             )
+
+    def test_basis_order_must_be_a_nonnegative_integer(self):
+        rule = dict(nodes=[[0.0]], weights=[1.0], residual_norm=0.0)
+        with pytest.raises(ValueError, match="basis_order must be an integer, got 2.5"):
+            mq.QuadratureRule(**rule, basis_order=2.5)
+        with pytest.raises(ValueError, match="basis_order must be >= 0, got -3"):
+            mq.QuadratureRule(**rule, basis_order=-3)
+        with pytest.raises(ValueError, match="basis_order must be an integer, got True"):
+            mq.QuadratureRule(**rule, basis_order=True)
+        assert mq.QuadratureRule(**rule, basis_order=np.int64(2)).basis_order == 2
 
     def test_weight_count_must_match(self):
         with pytest.raises(ValueError, match="weight"):
