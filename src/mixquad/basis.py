@@ -302,25 +302,28 @@ def _points(basis, xs):
     return X
 
 
-def _monomials(basis, X):
-    """mono[a, s] = X[s] ** alpha_a, shape (N, n).
+def _monomials(basis, X, order=None):
+    """mono[a, s] = X[s] ** alpha_a for |alpha_a| <= order (basis.order if None).
 
-    Grade by grade, mono[alpha] = mono[alpha'] * x_j ** alpha_j with j the last
-    nonzero coordinate of alpha and alpha' of lower grade (see _prefixes), so
-    each monomial multiplies its powers left to right over the dimensions.
+    Shape (binom(d + order, d), n). Grade by grade, mono[alpha] = mono[alpha']
+    * x_j ** alpha_j with j the last nonzero coordinate of alpha and alpha' of
+    lower grade (see _prefixes), so each monomial multiplies its powers left
+    to right over the dimensions.
     """
-    d, q, n = basis.dim, basis.order, X.shape[0]
-    mono = np.empty((basis.size, n))
+    d, n = basis.dim, X.shape[0]
+    q = basis.order if order is None else order
+    mono = np.empty((comb(d + q, d), n))
     mono[0] = 1.0
     if q == 0:
         return mono
-    # grade 1 is the coordinates; power rows x_j ** 0 are never gathered
+    # grade 1 is the coordinates; power rows x_j ** 0 are never gathered, nor
+    # those above the order
     mono[1 : d + 1] = X.T
-    P = np.empty((d, q + 1, n))
+    P = np.empty((d, basis.order + 1, n))
     P[:, 1] = X.T
     for e in range(2, q + 1):
         np.multiply(P[:, e - 1], X.T, out=P[:, e])
-    P = P.reshape(d * (q + 1), n)
+    P = P.reshape(d * (basis.order + 1), n)
     prefix, power = basis._prefixes.T
     for t in range(2, q + 1):
         lo, hi = comb(d + t - 1, t - 1), comb(d + t, t)

@@ -11,13 +11,13 @@ batch simulators, or a line-oriented subprocess protocol.
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from math import ceil
+from math import ceil, comb
 
 import numpy as np
 
 from . import _LAZY, benchmarks
 from .basis import EVAL_CHUNK, _monomials, _points, eval_basis_batch
-from .distribution import sample
+from .distribution import _draws
 from .rules import MIN_DENSITY_SAMPLES, AdapterError, Surrogate, numbers_from_lines
 
 __all__ = list(_LAZY["collocation"])
@@ -116,18 +116,43 @@ def project_columns(rule, basis, value_matrix):
     return (phi_p.T @ (rule.weights[:, None] * V)).T
 
 
-def evaluate_batch(s, xs):
-    """Vectorized surrogate evaluation, one product per EVAL_CHUNK points.
+def _evaluator(s):
+    """f(X), the surrogate at one block of points X of shape (n, dim).
 
     The surrogate is one polynomial in the monomials, with coefficients
-    a = c C for the basis matrix C: each block of points takes one
-    matrix-vector product a @ mono with its monomial table.
+    a = c C for the basis matrix C. Of order q, each monomial x^gamma of
+    grade q is x^beta x_j, with j the last nonzero coordinate of gamma and
+    beta = gamma - e_j of grade q - 1 (the first level of the multivariate
+    Horner scheme). So f(X) = a[:top] @ mono + sum_beta mono[beta] (B @ X.T)[beta],
+    with mono the monomials below grade q, rows lo:top of it grade q - 1, and
+    B[beta, j] = a_gamma: the top grade is one small matrix product.
+    """
+    basis = s.basis
+    a = s.coefficients @ basis.coeff_matrix
+    d, q = basis.dim, basis.order
+    if q == 0:
+        return lambda X: np.full(len(X), a[0])
+    lo, top = comb(d + q - 2, d), comb(d + q - 1, d)
+    j = basis._prefixes[top:, 1] // (q + 1)
+    B = np.zeros((top - lo, d))
+    B[basis._parents[np.arange(top, basis.size), j] - lo, j] = a[top:]
+
+    def f(X):
+        mono = _monomials(basis, X, q - 1)
+        return a[:top] @ mono + np.einsum("bs,bs->s", mono[lo:], B @ X.T)
+    return f
+
+
+def evaluate_batch(s, xs):
+    """Vectorized surrogate evaluation, one block of EVAL_CHUNK points at a time.
+
+    Each block goes through _evaluator's two products.
     """
     X = _points(s.basis, xs)
-    a = s.coefficients @ s.basis.coeff_matrix
+    f = _evaluator(s)
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], EVAL_CHUNK):
-        out[lo : lo + EVAL_CHUNK] = a @ _monomials(s.basis, X[lo : lo + EVAL_CHUNK])
+        out[lo : lo + EVAL_CHUNK] = f(X[lo : lo + EVAL_CHUNK])
     return out
 
 
@@ -176,11 +201,13 @@ def _binned_kde(ys, h, pts):
     k = 8
     n_grid = (pts.size - 1) * k + 1
     delta = step / k
+    # in place, so the stats step holds few n-sized temporaries at once
     t = (ys - pts[0]) / delta
     j = t.astype(np.intp)
-    frac = t - j
-    mass = (np.bincount(j, weights=1.0 - frac, minlength=n_grid)
-            + np.bincount(j + 1, weights=frac, minlength=n_grid))
+    t -= j  # the fraction of the way to the next grid point
+    mass = np.bincount(j, weights=1.0 - t, minlength=n_grid)
+    j += 1
+    mass += np.bincount(j, weights=t, minlength=n_grid)
     half = int(np.ceil(8.0 * h / delta))
     u = np.arange(-half, half + 1) * (delta / h)
     kernel = np.exp(-0.5 * u * u) / (n * h * np.sqrt(2.0 * np.pi))
@@ -200,8 +227,13 @@ def density_estimate(s, gm, n_samples, seed, n_bins=60):
     """
     if n_samples < MIN_DENSITY_SAMPLES:
         raise ValueError(f"need n_samples >= {MIN_DENSITY_SAMPLES}, got {n_samples}")
-    # the samples are freed before the histogram and the KDE
-    ys = evaluate_batch(s, sample(gm, n_samples, seed))
+    if gm.dim != s.basis.dim:
+        raise ValueError(f"mixture has dimension {gm.dim}, basis expects {s.basis.dim}")
+    # each block of draws is evaluated as it is drawn, so the samples are never held at once
+    f = _evaluator(s)
+    ys = np.empty(n_samples)
+    for rows, points in _draws(gm, n_samples, seed):
+        ys[rows] = f(points)
     if ys.max() == ys.min():
         # zero-variance surrogate: all mass in one bin, KDE undefined
         y0 = float(ys[0])

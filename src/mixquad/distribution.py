@@ -146,10 +146,7 @@ def sample(gm, n, seed):
 
     Component labels are drawn first, then each component's rows are filled
     from standard normals pushed through that component's Cholesky factor,
-    EVAL_CHUNK rows at a time: consecutive draws give the numbers that one
-    draw over all of a component's rows gives, and the temporaries stay
-    small.
-    Deterministic given the seed.
+    EVAL_CHUNK rows at a time (see _draws). Deterministic given the seed.
 
     Returns
     -------
@@ -157,18 +154,27 @@ def sample(gm, n, seed):
     """
     if n < 1:
         raise ValueError(f"need n >= 1 draws, got {n}")
+    X = np.empty((n, gm.dim))
+    for rows, points in _draws(gm, n, seed):
+        X[rows] = points
+    return X
+
+
+def _draws(gm, n, seed):
+    """The draws of sample(gm, n, seed) as (rows, points), one block at a time.
+
+    Each component's rows come in blocks of at most EVAL_CHUNK, in component
+    order: consecutive draws give the numbers that one draw over all of a
+    component's rows gives, and the temporaries stay small.
+    """
     rng = np.random.default_rng(seed)
-    K = gm.n_components
-    d = gm.dim
-    comps = rng.choice(K, size=n, p=gm.mix_weights)
-    X = np.empty((n, d))
-    for k in range(K):
+    comps = rng.choice(gm.n_components, size=n, p=gm.mix_weights)
+    for k in range(gm.n_components):
         rows = np.flatnonzero(comps == k)
         L = gm._chols[k]
         for lo in range(0, len(rows), EVAL_CHUNK):
             block = rows[lo : lo + EVAL_CHUNK]
-            X[block] = gm.means[k] + rng.standard_normal((len(block), d)) @ L.T
-    return X
+            yield block, gm.means[k] + rng.standard_normal((len(block), gm.dim)) @ L.T
 
 
 def _gaussian_moments(mu, cov, E, parent, component):

@@ -163,11 +163,20 @@ def _typed(obj, key, kind):
     return obj[key]
 
 
+def _reals(obj, key):
+    """obj[key] as a float array of at most two axes, if each entry is a JSON int or float."""
+    for row in obj[key] if type(obj[key]) is list else [obj[key]]:
+        for x in row if type(row) is list else [row]:
+            if type(x) is not float and type(x) is not int:
+                raise ValueError(f"{key} must be of type float, got {x!r}")
+    return np.array(obj[key], dtype=float)
+
+
 def _mixture(obj):
     comps = obj["components"]
     declared = _typed(obj, "dim", int)
-    gm = GaussianMixture([c["weight"] for c in comps], [c["mean"] for c in comps],
-                         [c["cov"] for c in comps])
+    gm = GaussianMixture([_reals(c, "weight") for c in comps], [_reals(c, "mean") for c in comps],
+                         [_reals(c, "cov") for c in comps])
     if gm.dim != declared:
         raise ValueError(f"declared dim {declared} but components have dimension {gm.dim}")
     return gm
@@ -208,8 +217,8 @@ def _basis(obj):
     basis = OrthoBasis(
         dim=_typed(obj, "dim", int),
         order=_typed(obj, "order", int),
-        coeff_matrix=np.array(obj["coeff_matrix"], dtype=float),
-        gram_residual=float(obj["gram_residual"]),
+        coeff_matrix=_reals(obj, "coeff_matrix"),
+        gram_residual=float(_reals(obj, "gram_residual")),
     )
     if obj["indices"] != basis.exponent_matrix().tolist():
         raise ValueError(
@@ -244,9 +253,9 @@ def rule_to_json(rule):
 
 def rule_from_json(text):
     return _loads(text, "rule", lambda obj: QuadratureRule(
-        nodes=np.array(obj["nodes"], dtype=float),
-        weights=np.array(obj["weights"], dtype=float),
-        residual_norm=float(obj["residual_norm"]),
+        nodes=_reals(obj, "nodes"),
+        weights=_reals(obj, "weights"),
+        residual_norm=float(_reals(obj, "residual_norm")),
         basis_order=_typed(obj, "order_2p", int),
         converged=_typed(obj, "converged", bool),
         seed=None if obj["seed"] is None else _typed(obj, "seed", int),
@@ -269,8 +278,8 @@ def surrogate_to_json(s):
 def surrogate_from_json(text):
     return _loads(text, "surrogate", lambda obj: Surrogate(
         basis=_basis(obj["basis"]),
-        coefficients=np.array(obj["coefficients"], dtype=float),
-        rule_residual=float(obj["rule_residual"]),
+        coefficients=_reals(obj, "coefficients"),
+        rule_residual=float(_reals(obj, "rule_residual")),
         meta={"model": _typed(obj["meta"], "model", str),
               "sample_count": _typed(obj["meta"], "sample_count", int)},
     ))

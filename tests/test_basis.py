@@ -345,13 +345,22 @@ class TestEvalBasis:
         blocks = [(basis.coeff_matrix @ _monomials(basis, X[lo : lo + EVAL_CHUNK])).T
                   for lo in range(0, len(X), EVAL_CHUNK)]
         assert np.array_equal(mq.eval_basis_batch(basis, X), np.concatenate(blocks))
-        # the surrogate is one polynomial in the monomials, a = c C, with one
-        # matrix-vector product per block
+        # the surrogate is one polynomial in the monomials, a = c C: per block,
+        # one matrix-vector product below the top grade, and the top grade
+        # x^beta x_j folded into one product B @ X.T with B[beta, j] = a_gamma
         c = np.random.default_rng(8).normal(size=basis.size)
         s = mq.Surrogate(basis=basis, coefficients=c, rule_residual=0.0)
         a = c @ basis.coeff_matrix
-        values = [a @ _monomials(basis, X[lo : lo + EVAL_CHUNK])
-                  for lo in range(0, len(X), EVAL_CHUNK)]
+        top = 1 + basis.dim
+        B = np.zeros((basis.dim, basis.dim))
+        for g, gamma in enumerate(basis.exponent_matrix()[top:], start=top):
+            j = np.flatnonzero(gamma)[-1]
+            B[np.flatnonzero(gamma - np.eye(basis.dim, dtype=int)[j])[0], j] = a[g]
+        values = []
+        for lo in range(0, len(X), EVAL_CHUNK):
+            block = X[lo : lo + EVAL_CHUNK]
+            mono = _monomials(basis, block, 1)
+            values.append(a[:top] @ mono + np.einsum("bs,bs->s", mono[1:], B @ block.T))
         assert np.array_equal(mq.evaluate_batch(s, X), np.concatenate(values))
 
 

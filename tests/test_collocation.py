@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -13,6 +14,7 @@ import mixquad as mq
 from mixquad import benchmarks
 from mixquad._lapack import blas_thread_controls
 from mixquad.collocation import EVAL_CHUNK
+from mixquad.rules import MIN_DENSITY_SAMPLES
 
 
 def gauss1d():
@@ -261,7 +263,7 @@ class TestEvaluateAndStatistics:
         assert_allclose(out, direct, rtol=1e-14, atol=1e-14)
 
     @pytest.mark.parametrize("name", ["gm4", "gm6"])
-    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
     def test_agrees_with_the_basis_values_block_by_block(self, name, p):
         # the polynomial in the monomials rounds otherwise than the basis
         # values times the coefficients, only in the last bits
@@ -355,6 +357,39 @@ class TestDensityEstimate:
         assert np.array_equal(a.kde_density, b.kde_density)
         assert not np.array_equal(a.outputs, c.outputs)
 
+    @pytest.mark.parametrize("name", ["gm4", "gm6"])
+    def test_outputs_are_the_surrogate_at_the_samples(self, name):
+        # drawn and evaluated block by block, in other blocks than evaluate_batch's
+        gm = benchmarks.builtin_mixture(name)
+        basis = mq.gram_schmidt(mq.raw_moments(gm, 4), gm.dim, 2)
+        c = np.random.default_rng(34).normal(size=basis.size)
+        s = mq.Surrogate(basis=basis, coefficients=c, rule_residual=0.0)
+        ref = mq.evaluate_batch(s, mq.sample(gm, 3 * EVAL_CHUNK + 5, seed=35))
+        ys = mq.density_estimate(s, gm, ref.size, seed=35).outputs
+        assert np.abs(ys - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_never_holds_the_samples_at_once(self):
+        # the n x d sample matrix alone would take n * d * 8 bytes
+        gm = benchmarks.gm6()
+        basis = mq.gram_schmidt(mq.raw_moments(gm, 4), gm.dim, 2)
+        c = np.random.default_rng(36).normal(size=basis.size)
+        s = mq.Surrogate(basis=basis, coefficients=c, rule_residual=0.0)
+        n = 10 ** 5
+        mq.density_estimate(s, gm, MIN_DENSITY_SAMPLES, seed=37)  # first-call setup
+        tracemalloc.start()
+        try:
+            mq.density_estimate(s, gm, n, seed=37)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * gm.dim * 8
+
+    def test_mixture_of_another_dimension_rejected(self, gh_setup):
+        _, basis_p, rule = gh_setup
+        s = mq.project(rule, basis_p, rule.nodes[:, 0])
+        with pytest.raises(ValueError, match="mixture has dimension 2, basis expects 1"):
+            mq.density_estimate(s, corr2d(), 2000, seed=0)
+
     def test_tiny_sample_count_rejected(self, gh_setup):
         gm, basis_p, rule = gh_setup
         s = mq.project(rule, basis_p, rule.nodes[:, 0])
@@ -384,9 +419,12 @@ class TestDensityEstimate:
         # range/h near 2000: the points, and the grid with them, follow the range
         gm, basis_p, rule = gh_setup
         ys = np.append(np.random.default_rng(33).normal(size=99_999), 300.0)
-        monkeypatch.setattr(mq.collocation, "evaluate_batch", lambda s, X: ys)
+        # the surrogate y = x maps draws injected in one block onto the outputs
+        monkeypatch.setattr(mq.collocation, "_draws",
+                            lambda gm, n, seed: [(np.arange(n), ys[:, None])])
         s = mq.project(rule, basis_p, rule.nodes[:, 0])
         est = mq.density_estimate(s, gm, ys.size, seed=0)
+        assert np.array_equal(est.outputs, ys)
         exact = gaussian_kde(ys, bw_method="silverman")(est.kde_points)
         assert np.abs(est.kde_density - exact).max() <= 1e-4 * exact.max()
 

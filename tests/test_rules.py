@@ -112,11 +112,34 @@ def test_stamped_document_is_the_redump_with_the_digest_last(kind, monkeypatch):
     ("rule", "seed", "x"),
     ("rule", "converged", "false"),
     ("rule", "converged", 1),
+    # a real is a JSON int or float, never a string or a boolean; a path
+    # a/0/b names a field inside the document
+    ("mixture", "components/0/weight", "0.5"),
+    ("mixture", "components/1/weight", True),
+    ("mixture", "components/0/mean", ["-0.3", 0.3]),
+    ("mixture", "components/0/mean", [True, 0.3]),
+    ("mixture", "components/1/cov", [[0.49, -0.28], [-0.28, False]]),
+    ("basis", "coeff_matrix", "1.0"),
+    ("basis", "gram_residual", "1e-9"),
+    ("basis", "gram_residual", False),
+    ("rule", "nodes", [["0.5", 0.1]] * 7),
+    ("rule", "nodes", [[0.5, 0.1]] * 6 + [[True, 0.1]]),
+    ("rule", "weights", ["0.5"] + [0.5] * 6),
+    ("rule", "residual_norm", "1e-9"),
+    ("rule", "residual_norm", True),
+    ("surrogate", "basis/coeff_matrix", [["1"] * 6] * 6),
+    ("surrogate", "basis/gram_residual", "0"),
+    ("surrogate", "coefficients", [True] * 6),
+    ("surrogate", "rule_residual", "3.1e-9"),
 ])
 def test_typed_field_of_another_json_type_is_rejected_by_name(kind, key, bad):
     make, write, read, _ = KINDS[kind]
     obj = json.loads(write(make()))
-    obj[key] = bad
+    *path, key = key.split("/")
+    field = obj
+    for step in path:
+        field = field[int(step) if step.isdigit() else step]
+    field[key] = bad
     with pytest.raises(ValueError, match=f"^{key} must be of type "):
         read(_dumps(obj))
 
